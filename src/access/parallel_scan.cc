@@ -188,8 +188,9 @@ bool ParallelScan::NextBatchImpl(TupleBatch* out) {
         return !out->empty();
       }
       const size_t n = pb.size();
+      // Row swaps, not moves: both batches keep their slot storage.
       while (pending_pos_ < n && !out->full()) {
-        out->Append(pb.Take(pending_pos_++));
+        out->AppendSlot()->swap(pb.row(pending_pos_++));
       }
       if (pending_pos_ >= n) {
         pending_.Release();
@@ -428,11 +429,14 @@ class ParallelSortScanKernel : public ParallelScanKernel {
                             extent.num_pages);
       stats.heap_pages_probed += extent.num_pages;
       for (size_t k = i; k <= j; ++k) {
-        Tuple tuple = heap->Read(tids_[k], ctx);  // Resident: pool hit.
+        Tuple* tuple = batch->AppendSlot();
+        heap->ReadInto(tids_[k], ctx, tuple);  // Resident: pool hit.
         ++inspected;
-        if (predicate_.residual && !predicate_.residual(tuple)) continue;
+        if (predicate_.residual && !predicate_.residual(*tuple)) {
+          batch->PopLast();
+          continue;
+        }
         ++produced;
-        batch->Append(std::move(tuple));
         if (batch->full()) {
           emit(std::move(batch));
           batch = ctx.batch_pool->Acquire();
@@ -488,14 +492,17 @@ class ParallelSwitchScanKernel : public ParallelScanKernel {
     BPlusTree::Iterator it = index_->Seek(predicate_.lo, &planning);
     while (it.Valid() && it.key() < predicate_.hi) {
       const Tid tid = it.tid();
-      Tuple tuple = heap->Read(tid, planning);
+      Tuple* tuple = batch->AppendSlot();
+      heap->ReadInto(tid, planning, tuple);
       ++stats->heap_pages_probed;
       ++inspected;
-      if (predicate_.residual && !predicate_.residual(tuple)) {
+      if (predicate_.residual && !predicate_.residual(*tuple)) {
+        batch->PopLast();
         it.Next();
         continue;
       }
       if (produced >= scan_options_.estimated_cardinality) {
+        batch->PopLast();
         switched = true;  // Estimate violated: abandon the index.
         break;
       }
@@ -503,7 +510,6 @@ class ParallelSwitchScanKernel : public ParallelScanKernel {
       produced_.Insert(tid);
       ++cache_ops;
       ++produced;
-      batch->Append(std::move(tuple));
       if (batch->full()) {
         emit(std::move(batch));
         batch = planning.batch_pool->Acquire();
@@ -727,8 +733,12 @@ class ParallelSmoothScanKernel : public ParallelScanKernel {
           const int64_t key =
               schema.ReadInt64Column(data, size, predicate_.column);
           if (!predicate_.MatchesKey(key)) continue;
-          Tuple tuple = schema.Deserialize(data, size);
-          if (predicate_.residual && !predicate_.residual(tuple)) continue;
+          Tuple* tuple = batch->AppendSlot();
+          schema.DeserializeInto(data, size, tuple);
+          if (predicate_.residual && !predicate_.residual(*tuple)) {
+            batch->PopLast();
+            continue;
+          }
           page_has_result = true;
           if (count > 1) {
             ++ss.card_mode2;
@@ -736,7 +746,6 @@ class ParallelSmoothScanKernel : public ParallelScanKernel {
             ++ss.card_mode1;
           }
           ++produced;
-          batch->Append(std::move(tuple));
           if (batch->full()) {
             emit(std::move(batch));
             batch = ctx.batch_pool->Acquire();

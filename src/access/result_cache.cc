@@ -38,10 +38,11 @@ void ResultCache::AttachInvalidation(TableVersionRegistry* registry,
 }
 
 void ResultCache::Clear() {
-  for (Partition& part : partitions_) {
-    part.tuples.clear();
-    part.spilled = false;
-  }
+  for (Partition& part : partitions_) part = Partition();
+  std::fill(table_.begin(), table_.end(), Entry());
+  used_slots_ = 0;
+  arena_.clear();
+  live_bytes_ = 0;
   first_live_partition_ = 0;
   size_ = 0;
   resident_size_ = 0;
@@ -77,15 +78,15 @@ void ResultCache::SpillPartition(size_t p) {
     spill_file_ = engine_->storage().CreateFile("result_cache_overflow");
     spill_file_created_ = true;
   }
-  const uint32_t pages = SpillPages(part.tuples.size());
+  const uint32_t pages = SpillPages(part.tuples);
   // lint:allow(ctx-charging) — spill I/O is communal maintenance on the
   // engine's shared stream (like write-backs), not a query's scan charge.
   engine_->disk().WriteExtent(spill_file_, next_spill_page_, pages);
   next_spill_page_ += pages;
   part.spilled = true;  // Contents retained in memory; I/O is simulated.
-  resident_size_ -= part.tuples.size();
+  resident_size_ -= part.tuples;
   ++spill_stats_.spills;
-  spill_stats_.spilled_tuples += part.tuples.size();
+  spill_stats_.spilled_tuples += part.tuples;
   if (options_.spill_events != nullptr) options_.spill_events->Add();
 }
 
@@ -96,7 +97,7 @@ void ResultCache::MaybeSpill(size_t keep) {
   for (size_t p = partitions_.size(); p-- > first_live_partition_;) {
     if (resident_size_ <= options_.max_resident_tuples) break;
     Partition& part = partitions_[p];
-    if (p == keep || part.spilled || part.tuples.empty()) continue;
+    if (p == keep || part.spilled || part.tuples == 0) continue;
     SpillPartition(p);
   }
 }
@@ -107,7 +108,7 @@ void ResultCache::SpillForPressure(size_t keep) {
   // back "upon reaching the range keys belong to", so far ranges cost least.
   for (size_t p = partitions_.size(); p-- > first_live_partition_;) {
     Partition& part = partitions_[p];
-    if (p == keep || part.spilled || part.tuples.empty()) continue;
+    if (p == keep || part.spilled || part.tuples == 0) continue;
     SpillPartition(p);
     ++spill_stats_.pressure_spills;
     if (options_.pressure_spill_events != nullptr) {
@@ -121,52 +122,146 @@ void ResultCache::SpillForPressure(size_t keep) {
 void ResultCache::Restore(size_t p) {
   Partition& part = partitions_[p];
   SMOOTHSCAN_CHECK(part.spilled);
-  const uint32_t pages = SpillPages(part.tuples.size());
+  const uint32_t pages = SpillPages(part.tuples);
   // lint:allow(ctx-charging) — restore I/O lands on the shared stream, the
   // mirror of the spill charge above.
   engine_->disk().ReadExtent(spill_file_, 0, pages);
   part.spilled = false;
-  resident_size_ += part.tuples.size();
+  resident_size_ += part.tuples;
   ++spill_stats_.restores;
-  spill_stats_.restored_tuples += part.tuples.size();
+  spill_stats_.restored_tuples += part.tuples;
   if (options_.restore_events != nullptr) options_.restore_events->Add();
   SyncBrokerCharge();
 }
 
-void ResultCache::Insert(int64_t key, Tid tid, Tuple tuple) {
+size_t ResultCache::Find(uint64_t packed) const {
+  if (table_.empty()) return 0;
+  const size_t mask = table_.size() - 1;
+  for (size_t i = Home(packed);; i = (i + 1) & mask) {
+    const uint64_t tid = table_[i].tid;
+    if (tid == packed) return i;
+    if (tid == kEmpty) return table_.size();
+  }
+}
+
+void ResultCache::Rehash() {
+  size_t cap = std::max<size_t>(table_.size(), 16);
+  while ((size_ + 1) * 2 > cap) cap *= 2;
+  scratch_table_.assign(cap, Entry());
+  uint32_t shift = 64;
+  for (size_t c = cap; c > 1; c >>= 1) --shift;
+  hash_shift_ = shift;
+  for (const Entry& e : table_) {
+    if (e.tid == kEmpty || e.tid == kTombstone) continue;
+    size_t i = Home(e.tid);
+    while (scratch_table_[i].tid != kEmpty) i = (i + 1) & (cap - 1);
+    scratch_table_[i] = e;
+  }
+  table_.swap(scratch_table_);
+  used_slots_ = size_;
+}
+
+void ResultCache::CompactArena() {
+  scratch_arena_.clear();
+  for (Entry& e : table_) {
+    if (e.tid == kEmpty || e.tid == kTombstone) continue;
+    const uint32_t offset = static_cast<uint32_t>(scratch_arena_.size());
+    scratch_arena_.insert(scratch_arena_.end(), arena_.data() + e.offset,
+                          arena_.data() + e.offset + e.size);
+    e.offset = offset;
+  }
+  arena_.swap(scratch_arena_);
+}
+
+uint32_t ResultCache::AppendBytes(const uint8_t* data, uint32_t size) {
+  if (arena_.size() + size > arena_.capacity() &&
+      arena_.size() - live_bytes_ > live_bytes_) {
+    CompactArena();
+  }
+  SMOOTHSCAN_CHECK(arena_.size() + size <= UINT32_MAX);
+  const uint32_t offset = static_cast<uint32_t>(arena_.size());
+  arena_.insert(arena_.end(), data, data + size);
+  live_bytes_ += size;
+  return offset;
+}
+
+void ResultCache::Remove(size_t i) {
+  Entry& e = table_[i];
+  e.tid = kTombstone;
+  live_bytes_ -= e.size;
+  --size_;
+  // Nothing live references the arena any more: restart it from the front.
+  if (size_ == 0) {
+    arena_.clear();
+    live_bytes_ = 0;
+  }
+}
+
+void ResultCache::DropEvictedEntries() {
+  for (size_t i = 0; i < table_.size(); ++i) {
+    const Entry& e = table_[i];
+    if (e.tid == kEmpty || e.tid == kTombstone) continue;
+    if (e.partition < first_live_partition_) Remove(i);
+  }
+}
+
+void ResultCache::Insert(int64_t key, Tid tid, const uint8_t* data,
+                         uint32_t size) {
   const size_t p = PartitionOf(key);
   SMOOTHSCAN_CHECK(p >= first_live_partition_);
   Partition& part = partitions_[p];
   if (part.spilled) Restore(p);
-  auto [it, inserted] = part.tuples.emplace(Pack(tid), std::move(tuple));
-  (void)it;
-  if (inserted) {
-    ++size_;
-    ++resident_size_;
-    ++inserts_;
-    max_size_ = std::max(max_size_, size_);
-    MaybeSpill(p);
-    SyncBrokerCharge();
-    SpillForPressure(p);
+  if ((used_slots_ + 1) * 4 > table_.size() * 3) Rehash();
+  const uint64_t packed = Pack(tid);
+  const size_t mask = table_.size() - 1;
+  // Probe to the first empty slot (the Tid may already be cached), reusing
+  // the first tombstone passed on the way.
+  size_t slot = table_.size();
+  for (size_t i = Home(packed);; i = (i + 1) & mask) {
+    const uint64_t t = table_[i].tid;
+    if (t == packed) return;  // Already cached.
+    if (t == kTombstone) {
+      if (slot == table_.size()) slot = i;
+      continue;
+    }
+    if (t == kEmpty) {
+      if (slot == table_.size()) {
+        slot = i;
+        ++used_slots_;
+      }
+      break;
+    }
   }
+  table_[slot] = Entry{packed, AppendBytes(data, size), size,
+                       static_cast<uint32_t>(p)};
+  ++part.tuples;
+  ++size_;
+  ++resident_size_;
+  ++inserts_;
+  max_size_ = std::max(max_size_, size_);
+  MaybeSpill(p);
+  SyncBrokerCharge();
+  SpillForPressure(p);
 }
 
-std::optional<Tuple> ResultCache::Take(int64_t key, Tid tid) {
+bool ResultCache::Take(int64_t key, Tid tid, const Schema& schema,
+                       Tuple* out) {
   const size_t p = PartitionOf(key);
-  if (p < first_live_partition_) return std::nullopt;
+  if (p < first_live_partition_) return false;
   Partition& part = partitions_[p];
   if (part.spilled) {
     // "Overflow files ... are read upon reaching the range keys belong to."
     Restore(p);
   }
-  auto it = part.tuples.find(Pack(tid));
-  if (it == part.tuples.end()) return std::nullopt;
-  Tuple tuple = std::move(it->second);
-  part.tuples.erase(it);
-  --size_;
+  const size_t i = Find(Pack(tid));
+  if (i == table_.size()) return false;
+  const Entry& e = table_[i];
+  schema.DeserializeInto(arena_.data() + e.offset, e.size, out);
+  --part.tuples;
   --resident_size_;
+  Remove(i);
   SyncBrokerCharge();
-  return tuple;
+  return true;
 }
 
 uint64_t ResultCache::EvictBelow(int64_t key) {
@@ -175,13 +270,14 @@ uint64_t ResultCache::EvictBelow(int64_t key) {
   while (first_live_partition_ < separators_.size() &&
          key >= separators_[first_live_partition_]) {
     Partition& part = partitions_[first_live_partition_];
-    evicted += part.tuples.size();
-    size_ -= part.tuples.size();
-    if (!part.spilled) resident_size_ -= part.tuples.size();
-    part.tuples.clear();
-    part.spilled = false;
+    evicted += part.tuples;
+    if (!part.spilled) resident_size_ -= part.tuples;
+    part = Partition();
     ++first_live_partition_;
   }
+  // The scan usually drained a partition before passing it; only leftovers
+  // cost a table sweep.
+  if (evicted > 0) DropEvictedEntries();
   SyncBrokerCharge();
   return evicted;
 }

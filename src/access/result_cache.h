@@ -9,6 +9,17 @@
 // partition's upper bound the partition can be dropped wholesale — the bulk
 // deletion scheme the paper describes.
 //
+// Format: tuples stay in their encoded page bytes. One append-only byte
+// arena holds them, and one flat open-addressing table keyed by the packed
+// Tid maps each cached tuple to its (offset, size, partition). Insert copies
+// bytes, Take decodes them straight into the caller's recycled batch slot,
+// and the arena and table keep their storage as tuples come and go: once
+// they have grown to the scan's working size, neither allocates again.
+// Taken tuples leave tombstones that later inserts reuse; a rehash (growth,
+// or tombstone clean-up at the same size) and an arena compaction (when the
+// arena would grow while at least half of it is dead) run through retained
+// scratch storage.
+//
 // Spilling: "if memory becomes scarce, cache spilling could be employed by
 // using overflow files. Caches containing the ranges the furthest from the
 // current key range are spilled into the overflow files that are read upon
@@ -21,8 +32,6 @@
 #define SMOOTHSCAN_ACCESS_RESULT_CACHE_H_
 
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -94,12 +103,15 @@ class ResultCache {
   /// only content is invalidated.
   void Clear();
 
-  /// Inserts the tuple for `tid` under `key`.
-  void Insert(int64_t key, Tid tid, Tuple tuple);
+  /// Caches a copy of the encoded tuple `data[0, size)` for `tid` under
+  /// `key`. A Tid that is already cached is left as it is.
+  void Insert(int64_t key, Tid tid, const uint8_t* data, uint32_t size);
 
-  /// Removes and returns the tuple for (`key`, `tid`), if cached. Restores
-  /// the owning partition from the overflow file when it was spilled.
-  std::optional<Tuple> Take(int64_t key, Tid tid);
+  /// Removes the tuple for (`key`, `tid`) and decodes it with `schema` into
+  /// `out`, reusing out's storage. Returns false on a miss (`out` untouched).
+  /// Restores the owning partition from the overflow file when it was
+  /// spilled.
+  bool Take(int64_t key, Tid tid, const Schema& schema, Tuple* out);
 
   /// Drops all partitions whose key range lies entirely below `key` — the
   /// scan cursor has passed them. Returns the number of evicted tuples.
@@ -113,15 +125,48 @@ class ResultCache {
   /// Publish-triggered Clear()s since attachment.
   uint64_t invalidations() const { return invalidations_; }
   const ResultCacheStats& spill_stats() const { return spill_stats_; }
+  /// Slots of the open-addressing table. It tracks the live working set,
+  /// not the number of tuples that passed through the cache.
+  size_t table_slots() const { return table_.size(); }
 
  private:
   static uint64_t Pack(Tid tid) {
     return (static_cast<uint64_t>(tid.page_id) << 16) | tid.slot;
   }
+  /// Table keys that no packed Tid (48 bits) can take.
+  static constexpr uint64_t kEmpty = UINT64_MAX;
+  static constexpr uint64_t kTombstone = UINT64_MAX - 1;
+
+  /// One table slot: a cached tuple's place in the arena.
+  struct Entry {
+    uint64_t tid = kEmpty;
+    uint32_t offset = 0;
+    uint32_t size = 0;
+    uint32_t partition = 0;
+  };
   struct Partition {
-    std::unordered_map<uint64_t, Tuple> tuples;
+    uint64_t tuples = 0;  ///< Cached tuples (resident or spilled).
     bool spilled = false;
   };
+
+  /// Home slot of a packed Tid (Fibonacci hashing onto the table size).
+  size_t Home(uint64_t packed) const {
+    return static_cast<size_t>((packed * 0x9E3779B97F4A7C15ull) >>
+                               hash_shift_);
+  }
+  /// Table slot holding `packed`, or table_.size() when absent.
+  size_t Find(uint64_t packed) const;
+  /// Rebuilds the table at a size that keeps it at most half full with one
+  /// more entry, dropping tombstones.
+  void Rehash();
+  /// Appends `data` to the arena (compacting it first when it would grow
+  /// while mostly dead) and returns its offset.
+  uint32_t AppendBytes(const uint8_t* data, uint32_t size);
+  void CompactArena();
+  /// Tombstones every entry of a partition below `first_live_partition_`.
+  void DropEvictedEntries();
+  /// Marks table slot `i` dead and settles the byte and tuple counts.
+  void Remove(size_t i);
 
   /// Partition index owning `key`.
   size_t PartitionOf(int64_t key) const;
@@ -143,6 +188,14 @@ class ResultCache {
 
   std::vector<int64_t> separators_;
   std::vector<Partition> partitions_;
+  std::vector<Entry> table_;  ///< Power-of-two size (empty until used).
+  uint32_t hash_shift_ = 64;
+  uint64_t used_slots_ = 0;   ///< Live entries plus tombstones.
+  std::vector<uint8_t> arena_;
+  uint64_t live_bytes_ = 0;   ///< Arena bytes of live entries.
+  /// Retained targets of Rehash / CompactArena (swapped with the live ones).
+  std::vector<Entry> scratch_table_;
+  std::vector<uint8_t> scratch_arena_;
   Engine* engine_;
   ResultCacheOptions options_;
   MemoryBroker::Consumer mem_;

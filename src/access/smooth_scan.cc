@@ -83,7 +83,7 @@ ExecContext SmoothScan::DefaultContext() const {
 
 Status SmoothScan::OpenImpl() {
   sstats_ = SmoothScanStats();
-  emit_.clear();
+  emit_.Clear();
   emit_pos_ = 0;
   region_pages_ = 1;
   tuple_cache_.reset();
@@ -156,7 +156,8 @@ void SmoothScan::CloseImpl() {
   FlushCacheSkipRun();
   // Release every auxiliary structure (page/tuple caches, result cache and
   // its spill file references, buffered tuples, the index iterator). The
-  // next Open() rebuilds them from scratch.
+  // next Open() rebuilds them from scratch; only the overflow buffer keeps
+  // its storage.
   it_.reset();
   page_cache_.reset();
   tuple_cache_.reset();
@@ -168,8 +169,7 @@ void SmoothScan::CloseImpl() {
     sstats_.rc_restored_tuples += rc.restored_tuples;
   }
   result_cache_.reset();
-  emit_.clear();
-  emit_.shrink_to_fit();
+  emit_.Clear();  // Keeps its storage for the next Open cycle.
   emit_pos_ = 0;
 }
 
@@ -192,11 +192,15 @@ void SmoothScan::Mode0Step(TupleBatch* out) {
   const ExecContext& ctx = this->ctx();
   const Tid tid = it_->tid();
   it_->Next();
-  Tuple tuple = heap->Read(tid, ctx);  // Single-tuple look-up: random I/O.
+  Tuple* tuple = out->AppendSlot();
+  heap->ReadInto(tid, ctx, tuple);  // Single-tuple look-up: random I/O.
   ++stats_.heap_pages_probed;
   ++stats_.tuples_inspected;
   ctx.cpu->ChargeInspect();
-  if (predicate_.residual && !predicate_.residual(tuple)) return;
+  if (predicate_.residual && !predicate_.residual(*tuple)) {
+    out->PopLast();
+    return;
+  }
   if (tuple_cache_ != nullptr) {
     tuple_cache_->Insert(tid);
     ctx.cpu->ChargeCacheOp();
@@ -204,13 +208,12 @@ void SmoothScan::Mode0Step(TupleBatch* out) {
     // Positional dedup: the index is strictly (key, Tid)-ordered, so the
     // last produced position identifies everything produced so far.
     m0_any_ = true;
-    m0_last_key_ = tuple[predicate_.column].AsInt64();
+    m0_last_key_ = (*tuple)[predicate_.column].AsInt64();
     m0_last_tid_ = tid;
   }
   ctx.cpu->ChargeProduce();
   ++stats_.tuples_produced;
   ++sstats_.card_mode0;
-  out->Append(std::move(tuple));
   MaybeTrigger();
 }
 
@@ -336,22 +339,37 @@ void SmoothScan::FetchRegionAndHarvest(PageId target, TupleBatch* out) {
       const int64_t key =
           schema.ReadInt64Column(data, size, predicate_.column);
       if (!predicate_.MatchesKey(key)) continue;
-      Tuple tuple = schema.Deserialize(data, size);
-      if (predicate_.residual && !predicate_.residual(tuple)) continue;
+      // Unordered harvest decodes straight into the caller's batch while it
+      // has room; everything else keeps the page bytes and decodes only
+      // what the residual predicate needs to see.
+      const bool direct =
+          !options_.preserve_order && out != nullptr && !out->full();
+      Tuple* decoded = nullptr;
+      if (predicate_.residual) {
+        decoded = direct ? out->AppendSlot() : &residual_scratch_;
+        schema.DeserializeInto(data, size, decoded);
+        if (!predicate_.residual(*decoded)) {
+          if (direct) out->PopLast();
+          continue;
+        }
+      }
       page_has_result = true;
       const Tid tid{pid, s};
       // Under a non-eager trigger, tuples already produced in Mode 0 must
       // not be produced again.
+      bool duplicate = false;
       if (tuple_cache_ != nullptr) {
         ++cache_ops;
-        if (tuple_cache_->Contains(tid)) continue;
+        duplicate = tuple_cache_->Contains(tid);
       } else if (options_.positional_dedup && m0_any_) {
         // Mode 0 produced every qualifying tuple positioned at or before
         // (m0_last_key_, m0_last_tid_) in the strict (key, Tid) order.
-        if (key < m0_last_key_ ||
-            (key == m0_last_key_ && !(m0_last_tid_ < tid))) {
-          continue;
-        }
+        duplicate = key < m0_last_key_ ||
+                    (key == m0_last_key_ && !(m0_last_tid_ < tid));
+      }
+      if (duplicate) {
+        if (direct && decoded != nullptr) out->PopLast();
+        continue;
       }
       if (count > 1) {
         ++sstats_.card_mode2;
@@ -361,16 +379,18 @@ void SmoothScan::FetchRegionAndHarvest(PageId target, TupleBatch* out) {
       ++produced;
       if (options_.preserve_order) {
         ++cache_ops;
-        result_cache_->Insert(key, tid, std::move(tuple));
+        result_cache_->Insert(key, tid, data, size);
         ++sstats_.rc_inserts;
         sstats_.rc_max_size =
             std::max(sstats_.rc_max_size, result_cache_->max_size());
-      } else if (out != nullptr && !out->full()) {
+      } else if (direct) {
         // Emit straight into the caller's batch — the vectorized fast path.
-        out->Append(std::move(tuple));
+        if (decoded == nullptr) {
+          schema.DeserializeInto(data, size, out->AppendSlot());
+        }
         ++stats_.tuples_produced;
       } else {
-        emit_.push_back(std::move(tuple));
+        emit_.Add(key, data, size);
       }
     }
     if (page_has_result) ++region_result_pages;
@@ -394,12 +414,11 @@ void SmoothScan::NextUnordered(TupleBatch* out) {
   const ExecContext& ctx = this->ctx();
   while (!out->full()) {
     if (emit_pos_ < emit_.size()) {
-      while (emit_pos_ < emit_.size() && !out->full()) {
-        out->Append(std::move(emit_[emit_pos_++]));
-        ++stats_.tuples_produced;
-      }
+      const size_t before = out->size();
+      emit_.Emit(index_->heap()->schema(), &emit_pos_, out);
+      stats_.tuples_produced += out->size() - before;
       if (emit_pos_ >= emit_.size()) {
-        emit_.clear();
+        emit_.Clear();
         emit_pos_ = 0;
       }
       continue;
@@ -426,6 +445,7 @@ void SmoothScan::NextUnordered(TupleBatch* out) {
 
 void SmoothScan::NextOrdered(TupleBatch* out) {
   const ExecContext& ctx = this->ctx();
+  const Schema& schema = index_->heap()->schema();
   while (!out->full()) {
     if (!it_->Valid() || it_->key() >= predicate_.hi) return;
     if (!morphing_) {
@@ -437,7 +457,8 @@ void SmoothScan::NextOrdered(TupleBatch* out) {
     const int64_t key = it_->key();
     ++sstats_.rc_probes;
     ctx.cpu->ChargeCacheOp();
-    std::optional<Tuple> cached = result_cache_->Take(key, tid);
+    Tuple* slot = out->AppendSlot();
+    bool cached = result_cache_->Take(key, tid, schema, slot);
     if (cached) {
       ++sstats_.rc_hits;  // Served from the cache without new I/O.
     } else {
@@ -447,7 +468,7 @@ void SmoothScan::NextOrdered(TupleBatch* out) {
         FetchRegionAndHarvest(tid.page_id, /*out=*/nullptr);
         // The entry's tuple is now cached unless it failed the residual
         // predicate or was produced pre-trigger.
-        cached = result_cache_->Take(key, tid);
+        cached = result_cache_->Take(key, tid, schema, slot);
       } else {
         ++sstats_.page_cache_hits;
         if (c_page_cache_hits_ != nullptr) c_page_cache_hits_->Add();
@@ -455,10 +476,12 @@ void SmoothScan::NextOrdered(TupleBatch* out) {
       }
     }
     it_->Next();
-    if (!cached) continue;  // Residual failure / Mode-0 duplicate: skip.
+    if (!cached) {  // Residual failure / Mode-0 duplicate: skip.
+      out->PopLast();
+      continue;
+    }
     result_cache_->EvictBelow(key);
     ++stats_.tuples_produced;
-    out->Append(std::move(*cached));
   }
 }
 

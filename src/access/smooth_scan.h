@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "access/access_path.h"
+#include "access/encoded_rows.h"
 #include "access/page_id_cache.h"
 #include "access/result_cache.h"
 #include "access/tuple_id_cache.h"
@@ -232,11 +233,14 @@ class SmoothScan : public AccessPath {
   std::unique_ptr<TupleIdCache> tuple_cache_;
   std::unique_ptr<ResultCache> result_cache_;
   /// Overflow of harvested-but-not-yet-emitted tuples (a morphing region can
-  /// exceed one batch). `emit_pos_` is the consumption cursor — rows are
-  /// never erased from the front (that would be quadratic at small batch
-  /// sizes); the vector is cleared once fully drained.
-  std::vector<Tuple> emit_;
+  /// exceed one batch), kept as encoded bytes and decoded into the caller's
+  /// batch on emit. `emit_pos_` is the consumption cursor; the buffer is
+  /// cleared (keeping its storage) once fully drained.
+  EncodedRows emit_;
   size_t emit_pos_ = 0;
+  /// Decode target of residual checks on tuples that do not go straight
+  /// into the caller's batch (Result Cache inserts, overflow).
+  Tuple residual_scratch_;
   uint32_t region_pages_ = 1;
 
   // Registry handles cached at Open (null when no registry is attached) and

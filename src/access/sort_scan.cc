@@ -37,48 +37,51 @@ ExecContext SortScan::DefaultContext() const {
 
 Status SortScan::OpenImpl() {
   const HeapFile* heap = index_->heap();
+  const Schema& schema = heap->schema();
   const ExecContext& ctx = this->ctx();
-  results_.clear();
-  next_result_ = 0;
+  rows_.Clear();
+  next_row_ = 0;
   pages_fetched_ = 0;
 
   // Phase 1: harvest qualifying TIDs from the index leaves.
-  std::vector<Tid> tids;
+  tids_.clear();
   for (BPlusTree::Iterator it = index_->Seek(predicate_.lo, &ctx);
        it.Valid() && it.key() < predicate_.hi; it.Next()) {
-    tids.push_back(it.tid());
+    tids_.push_back(it.tid());
   }
 
   // Phase 2: sort TIDs in heap order — the blocking pre-sort.
-  ctx.cpu->ChargeSort(tids.size());
-  std::sort(tids.begin(), tids.end());
+  ctx.cpu->ChargeSort(tids_.size());
+  std::sort(tids_.begin(), tids_.end());
 
   // Phase 3: fetch the result pages, coalescing consecutive page ids into
-  // single extent requests ("easily detected by disk prefetchers").
-  struct KeyedTuple {
-    int64_t key;
-    Tid tid;
-    Tuple tuple;
-  };
-  std::vector<KeyedTuple> keyed;
+  // single extent requests ("easily detected by disk prefetchers"), and
+  // buffer the qualifying tuples' bytes in Tid order.
   uint64_t inspected = 0;
   uint64_t produced = 0;
   size_t i = 0;
-  while (i < tids.size()) {
-    // Extent of consecutive distinct pages starting at tids[i].
+  while (i < tids_.size()) {
+    // Extent of consecutive distinct pages starting at tids_[i].
     const SortScanExtent extent =
-        CoalesceSortedTidExtent(tids, i, tids.size());
+        CoalesceSortedTidExtent(tids_, i, tids_.size());
     const size_t j = extent.last_entry;
-    ctx.pool->FetchExtent(heap->file_id(), tids[i].page_id, extent.num_pages);
+    ctx.pool->FetchExtent(heap->file_id(), tids_[i].page_id,
+                          extent.num_pages);
     pages_fetched_ += extent.num_pages;
     stats_.heap_pages_probed += extent.num_pages;
     for (size_t k = i; k <= j; ++k) {
-      Tuple tuple = heap->Read(tids[k], ctx);  // Resident: buffer-pool hit.
+      const uint8_t* data = nullptr;
+      uint32_t size = 0;
+      // Resident: buffer-pool hit.
+      const PageGuard page = heap->ReadBytes(tids_[k], ctx, &data, &size);
       ++inspected;
-      if (predicate_.residual && !predicate_.residual(tuple)) continue;
+      if (predicate_.residual) {
+        schema.DeserializeInto(data, size, &residual_scratch_);
+        if (!predicate_.residual(residual_scratch_)) continue;
+      }
       ++produced;
-      keyed.push_back(
-          {tuple[predicate_.column].AsInt64(), tids[k], std::move(tuple)});
+      rows_.Add(schema.ReadInt64Column(data, size, predicate_.column), data,
+                size);
     }
     i = j + 1;
   }
@@ -88,23 +91,58 @@ Status SortScan::OpenImpl() {
 
   // Phase 4 (optional): posterior sort restoring the interesting order.
   if (options_.preserve_order) {
-    ctx.cpu->ChargeSort(keyed.size());
-    std::stable_sort(keyed.begin(), keyed.end(),
-                     [](const KeyedTuple& a, const KeyedTuple& b) {
-                       return a.key != b.key ? a.key < b.key : a.tid < b.tid;
-                     });
+    ctx.cpu->ChargeSort(rows_.size());
+    rows_.SortByKey();
   }
-  results_.reserve(keyed.size());
-  for (KeyedTuple& kt : keyed) results_.push_back(std::move(kt.tuple));
   return Status::OK();
 }
 
 bool SortScan::NextBatchImpl(TupleBatch* out) {
-  while (next_result_ < results_.size() && !out->full()) {
-    out->Append(std::move(results_[next_result_++]));
-    ++stats_.tuples_produced;
-  }
+  const size_t before = out->size();
+  rows_.Emit(index_->heap()->schema(), &next_row_, out);
+  stats_.tuples_produced += out->size() - before;
   return !out->empty();
+}
+
+PosteriorSort::PosteriorSort(std::unique_ptr<AccessPath> input,
+                             const HeapFile* heap, int key_column)
+    : input_(std::move(input)), heap_(heap), key_column_(key_column) {}
+
+ExecContext PosteriorSort::DefaultContext() const {
+  return EngineContext(heap_->engine());
+}
+
+Status PosteriorSort::OpenImpl() {
+  rows_.Clear();
+  next_row_ = 0;
+  // The input charges this path's stream: the query's, when one is set.
+  input_->SetExecContext(&ctx());
+  input_->SetObs(obs());
+  Status status = input_->Open();
+  if (!status.ok()) return status;
+  const Schema& schema = heap_->schema();
+  while (input_->NextBatch(&drain_)) {
+    for (size_t i = 0; i < drain_.size(); ++i) {
+      const Tuple& tuple = drain_.row(i);
+      rows_.Add(tuple[key_column_].AsInt64(), tuple, schema);
+    }
+  }
+  stats_ = input_->stats();
+  input_->Close();
+  ctx().cpu->ChargeSort(rows_.size());
+  rows_.SortByKey();
+  return Status::OK();
+}
+
+bool PosteriorSort::NextBatchImpl(TupleBatch* out) {
+  rows_.Emit(heap_->schema(), &next_row_, out);
+  return !out->empty();
+}
+
+void PosteriorSort::CloseImpl() {
+  input_->Close();
+  rows_.Clear();
+  next_row_ = 0;
 }
 
 }  // namespace smoothscan

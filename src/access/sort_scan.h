@@ -2,15 +2,22 @@
 // qualifying TIDs from the index, sorts them in heap-page order, then fetches
 // the matching pages (and only those) with a nearly sequential pattern. The
 // price is a blocking execution model, and — when the consumer needs the
-// index order — a posterior sort of the result tuples. Batches are emitted as
-// dense slices of the materialized result.
+// index order — a posterior sort of the result tuples. The materialized
+// result is kept as encoded page bytes (EncodedRows) and decoded into the
+// caller's batch slots on emit.
+//
+// PosteriorSort is that same posterior sort as a plan step of its own: it
+// gives order-destroying paths (FullScan, SwitchScan) the index's interesting
+// order when the consumer requires it.
 
 #ifndef SMOOTHSCAN_ACCESS_SORT_SCAN_H_
 #define SMOOTHSCAN_ACCESS_SORT_SCAN_H_
 
+#include <memory>
 #include <vector>
 
 #include "access/access_path.h"
+#include "access/encoded_rows.h"
 #include "index/bplus_tree.h"
 
 namespace smoothscan {
@@ -52,10 +59,11 @@ class SortScan : public AccessPath {
   /// Blocking: performs the index traversal, TID sort and all heap I/O.
   Status OpenImpl() override;
   bool NextBatchImpl(TupleBatch* out) override;
+  /// Drops the buffered rows; the buffers keep their storage for the next
+  /// Open cycle.
   void CloseImpl() override {
-    results_.clear();
-    results_.shrink_to_fit();
-    next_result_ = 0;
+    rows_.Clear();
+    next_row_ = 0;
   }
   ExecContext DefaultContext() const override;
 
@@ -64,9 +72,41 @@ class SortScan : public AccessPath {
   ScanPredicate predicate_;
   SortScanOptions options_;
 
-  std::vector<Tuple> results_;
-  size_t next_result_ = 0;
+  std::vector<Tid> tids_;
+  EncodedRows rows_;
+  size_t next_row_ = 0;
+  Tuple residual_scratch_;
   uint64_t pages_fetched_ = 0;
+};
+
+/// Posterior key sort over another access path: Open drains `input`,
+/// buffers its rows as encoded bytes and sorts them by the key column,
+/// charging ChargeSort(rows) to this path's ExecContext — the cost the
+/// chooser prices as its sort penalty. Ties keep the input's order, which
+/// for the wrapped paths is Tid order, so the output follows the index's
+/// (key, Tid) order. Reports the input's name and stats: the plan is still
+/// that path, plus its sort.
+class PosteriorSort : public AccessPath {
+ public:
+  /// `heap` is the table `input` reads; `key_column` its INT64/DATE key.
+  PosteriorSort(std::unique_ptr<AccessPath> input, const HeapFile* heap,
+                int key_column);
+
+  const char* name() const override { return input_->name(); }
+
+ protected:
+  Status OpenImpl() override;
+  bool NextBatchImpl(TupleBatch* out) override;
+  void CloseImpl() override;
+  ExecContext DefaultContext() const override;
+
+ private:
+  std::unique_ptr<AccessPath> input_;
+  const HeapFile* heap_;
+  int key_column_;
+  TupleBatch drain_;
+  EncodedRows rows_;
+  size_t next_row_ = 0;
 };
 
 }  // namespace smoothscan

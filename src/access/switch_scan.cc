@@ -38,10 +38,12 @@ void SwitchScan::IndexPhase(TupleBatch* out) {
   uint64_t cache_ops = 0;
   while (!out->full() && it_->Valid() && it_->key() < predicate_.hi) {
     const Tid tid = it_->tid();
-    Tuple tuple = heap->Read(tid, ctx);
+    Tuple* tuple = out->AppendSlot();
+    heap->ReadInto(tid, ctx, tuple);
     ++stats_.heap_pages_probed;
     ++inspected;
-    if (predicate_.residual && !predicate_.residual(tuple)) {
+    if (predicate_.residual && !predicate_.residual(*tuple)) {
+      out->PopLast();
       it_->Next();
       continue;
     }
@@ -50,6 +52,7 @@ void SwitchScan::IndexPhase(TupleBatch* out) {
     // (Section VI-F). The tuple is not produced here — the full scan will
     // re-discover it, since its TID was never recorded.
     if (stats_.tuples_produced + produced >= options_.estimated_cardinality) {
+      out->PopLast();
       switched_ = true;
       break;
     }
@@ -57,7 +60,6 @@ void SwitchScan::IndexPhase(TupleBatch* out) {
     produced_.Insert(tid);
     ++cache_ops;
     ++produced;
-    out->Append(std::move(tuple));
   }
   stats_.tuples_inspected += inspected;
   stats_.tuples_produced += produced;

@@ -37,7 +37,7 @@ class BatchCarry {
   bool NextBatch(TupleBatch* out, Impl&& impl) {
     out->Clear();
     while (pos_ < carry_.size() && !out->full()) {
-      out->Append(carry_.Take(pos_++));
+      out->AppendSlot()->swap(carry_.row(pos_++));
     }
     if (pos_ >= carry_.size()) {
       carry_.Clear();

@@ -68,6 +68,10 @@ enum class LatchRank : int {
   kNetPipe = 140,       ///< net::Pipe byte-buffer latch. Pure leaf: a pipe
                         ///< endpoint copies bytes under it and never calls
                         ///< back into the engine.
+  kStreamShelf = 145,   ///< StreamBatchShelf::mu_ (a session's spare
+                        ///< stream batches). Pure leaf: taken bare when a
+                        ///< stream is built or destroyed and under
+                        ///< kResultStream when a Pop refills a ring slot.
   kResultStream = 150,  ///< ResultStream::mu_ (handle batch queue). Pushed
                         ///< to by an executor holding no latches; the engine
                         ///< may finish a stream while holding kQueryEngine

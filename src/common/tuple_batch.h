@@ -45,6 +45,9 @@ class TupleBatch {
   bool empty() const { return size() == 0; }
   /// True when no further tuple can be appended.
   bool full() const { return filled_ >= capacity_; }
+  /// True once row slots exist (a fill cycle ran and no ReleaseMemory since):
+  /// the storage a batch recycler wants to keep.
+  bool has_storage() const { return !rows_.empty(); }
 
   /// Forgets all rows and any selection. Row slots keep their Value storage
   /// so the next fill cycle reuses it.

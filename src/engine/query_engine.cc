@@ -31,6 +31,87 @@ double MsBetween(std::chrono::steady_clock::time_point a,
 
 }  // namespace
 
+void StreamBatchShelf::Take(TupleBatch* out) {
+  latch::LatchGuard lock(mu_);
+  if (spares_.empty()) return;
+  std::swap(*out, spares_.back());
+  spares_.pop_back();
+}
+
+void StreamBatchShelf::Put(TupleBatch* batch) {
+  batch->Clear();
+  if (!batch->has_storage()) return;
+  latch::LatchGuard lock(mu_);
+  if (spares_.size() >= max_) return;
+  if (spares_.capacity() == 0) spares_.reserve(max_);
+  spares_.emplace_back(batch->capacity());
+  std::swap(spares_.back(), *batch);
+}
+
+ResultStream::ResultStream(size_t max_batches,
+                           std::shared_ptr<StreamBatchShelf> shelf)
+    : cap_(max_batches == 0 ? 1 : max_batches), shelf_(std::move(shelf)) {
+  latch::LatchGuard lock(mu_);
+  ring_.resize(cap_);
+  if (shelf_ != nullptr) {
+    shelf_->Take(&producer_);
+    for (TupleBatch& slot : ring_) shelf_->Take(&slot);
+  }
+}
+
+ResultStream::~ResultStream() {
+  if (shelf_ == nullptr) return;
+  shelf_->Put(&producer_);
+  latch::LatchGuard lock(mu_);
+  for (TupleBatch& slot : ring_) shelf_->Put(&slot);
+}
+
+void ResultStream::Push(TupleBatch* batch) {
+  latch::UniqueLatch lock(mu_);
+  while (!closed_ && count_ >= cap_) cv_.wait(lock);
+  if (!closed_) {
+    std::swap(ring_[(head_ + count_) % cap_], *batch);
+    ++count_;
+    cv_.notify_all();
+  }
+  batch->Clear();  // Consumer gone: drop the rows, keep the storage.
+}
+
+void ResultStream::FinishProducer() {
+  latch::LatchGuard lock(mu_);
+  finished_ = true;
+  cv_.notify_all();
+}
+
+bool ResultStream::Pop(TupleBatch* out) {
+  latch::UniqueLatch lock(mu_);
+  while (count_ == 0 && !finished_) cv_.wait(lock);
+  if (count_ == 0) {
+    lock.unlock();
+    if (shelf_ != nullptr) shelf_->Put(out);
+    out->Clear();
+    return false;
+  }
+  TupleBatch& slot = ring_[head_];
+  std::swap(slot, *out);
+  slot.Clear();
+  // A consumer that arrived without storage would leave the producer a
+  // hollow batch to refill from scratch: hand it a spare instead.
+  if (!slot.has_storage() && shelf_ != nullptr) shelf_->Take(&slot);
+  head_ = (head_ + 1) % cap_;
+  --count_;
+  cv_.notify_all();
+  return true;
+}
+
+void ResultStream::CloseConsumer() {
+  latch::LatchGuard lock(mu_);
+  closed_ = true;
+  head_ = 0;
+  count_ = 0;
+  cv_.notify_all();
+}
+
 const char* QueryLaneToString(QueryLane lane) {
   switch (lane) {
     case QueryLane::kBatch:
@@ -278,6 +359,8 @@ uint64_t QueryEngine::completed() const {
 }
 
 void QueryEngine::ExecutorLoop(bool sla_only) {
+  // Recycled across this executor's queries: rows decode into warm slots.
+  TupleBatch batch;
   for (;;) {
     Pending p;
     std::atomic<bool> cancel{false};
@@ -352,7 +435,7 @@ void QueryEngine::ExecutorLoop(bool sla_only) {
           options_.tracing, p.id, "query", "lane",
           static_cast<int64_t>(p.spec.lane), "queue_us",
           static_cast<int64_t>(MsBetween(p.submitted, admit_time) * 1000.0));
-      result = Execute(p.id, std::move(p.spec), &cancel);
+      result = Execute(p.id, std::move(p.spec), &cancel, &batch);
     }
     // Before the record is done: once WaitSpec can return, the handle may
     // destroy the stream.
@@ -489,7 +572,8 @@ QueryResult QueryEngine::ExecuteWrite(QueryId id, QuerySpec spec,
 }
 
 QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
-                                 const std::atomic<bool>* cancel) {
+                                 const std::atomic<bool>* cancel,
+                                 TupleBatch* executor_batch) {
   if (spec.writer != nullptr) {
     return ExecuteWrite(id, std::move(spec), cancel);
   }
@@ -669,18 +753,18 @@ QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
                              static_cast<int64_t>(spec.dop));
     res.status = path->Open();
     if (res.status.ok()) {
-      TupleBatch batch;
-      while (path->NextBatch(&batch)) {
-        m.tuples += batch.size();
+      TupleBatch* batch = spec.stream != nullptr
+                              ? spec.stream->producer_batch()
+                              : executor_batch;
+      while (path->NextBatch(batch)) {
+        m.tuples += batch->size();
         if (spec.collect_keys) {
-          for (size_t i = 0; i < batch.size(); ++i) {
-            res.keys.push_back(batch.row(i)[0].AsInt64());
+          for (size_t i = 0; i < batch->size(); ++i) {
+            res.keys.push_back(batch->row(i)[0].AsInt64());
           }
         }
-        if (spec.stream != nullptr) {
-          spec.stream->Push(std::move(batch));
-          batch.Clear();  // Leave the moved-from batch refillable.
-        }
+        // Swaps the filled batch for a drained one.
+        if (spec.stream != nullptr) spec.stream->Push(batch);
         // Polled between batches: path->Close() below is the teardown — for
         // a shared-scan consumer that is Detach mid-lap, the existing
         // cancelled-consumer path, and the peers' laps proceed untouched.

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -74,63 +75,83 @@ enum class QueryLane { kBatch = 0, kSla = 1 };
 
 const char* QueryLaneToString(QueryLane lane);
 
+/// Spare result-stream batches of one Session: a finished stream leaves its
+/// batches here and the next stream starts with them, so streamed queries
+/// keep their slot storage from query to query instead of decoding every row
+/// into fresh heap storage. Shared by the Session and the streams it builds
+/// (a handle, and with it its stream, may outlive the session).
+class StreamBatchShelf {
+ public:
+  explicit StreamBatchShelf(size_t max_batches) : max_(max_batches) {}
+  StreamBatchShelf(const StreamBatchShelf&) = delete;
+  StreamBatchShelf& operator=(const StreamBatchShelf&) = delete;
+
+  /// Moves a spare into `*out` (left as it is when the shelf is empty).
+  void Take(TupleBatch* out) EXCLUDES(mu_);
+  /// Keeps `*batch`'s storage as a spare while there is room, leaving it
+  /// empty. Batches without storage are not worth a place.
+  void Put(TupleBatch* batch) EXCLUDES(mu_);
+
+ private:
+  const size_t max_;
+  mutable latch::Latch mu_{latch::LatchRank::kStreamShelf,
+                           "StreamBatchShelf::mu_"};
+  std::vector<TupleBatch> spares_ GUARDED_BY(mu_);
+};
+
 /// Bounded batch queue between an executing query and the client holding its
-/// QueryHandle — the streaming half of the Session API. The executor Pushes
-/// each result batch as it is produced (blocking while the window is full);
-/// the handle Pops them. Closing the consumer side unblocks the producer and
-/// turns further pushes into drops, so an abandoned or cancelled stream never
-/// wedges an executor. Streaming changes only *where* batches go, never what
-/// the query is charged: the blocking adds wall time, not simulated cost.
+/// QueryHandle — the streaming half of the Session API. The executor fills
+/// the stream's producer batch and Pushes it (blocking while the window is
+/// full); the handle Pops batches. Batches are recycled in both directions:
+/// a Push swaps the filled batch for a drained one, and a Pop hands the
+/// consumer's previous batch back to the producer, so rows are decoded into
+/// slot storage that is reused rather than re-allocated. Closing the consumer
+/// side unblocks the producer and turns further pushes into drops, so an
+/// abandoned or cancelled stream never wedges an executor. Streaming changes
+/// only *where* batches go, never what the query is charged: the blocking
+/// adds wall time, not simulated cost.
 class ResultStream {
  public:
-  explicit ResultStream(size_t max_batches = 4)
-      : cap_(max_batches == 0 ? 1 : max_batches) {}
+  /// `shelf` (optional) lends the stream its starting batches and takes
+  /// them back when the stream is destroyed.
+  explicit ResultStream(size_t max_batches = 4,
+                        std::shared_ptr<StreamBatchShelf> shelf = nullptr);
+  ~ResultStream();
   ResultStream(const ResultStream&) = delete;
   ResultStream& operator=(const ResultStream&) = delete;
 
-  /// Producer (engine executor): enqueue one batch; blocks while the window
-  /// is full and the consumer is still attached.
-  void Push(TupleBatch batch) {
-    latch::UniqueLatch lock(mu_);
-    while (!closed_ && q_.size() >= cap_) cv_.wait(lock);
-    if (closed_) return;  // Consumer gone: drop, keep draining.
-    q_.push_back(std::move(batch));
-    cv_.notify_all();
-  }
+  /// Producer: the batch to fill for the next Push. Touched by the producer
+  /// only, until the query completes.
+  TupleBatch* producer_batch() { return &producer_; }
+
+  /// Producer (engine executor): enqueues `*batch` and leaves a drained,
+  /// cleared batch in its place; blocks while the window is full and the
+  /// consumer is still attached.
+  void Push(TupleBatch* batch) EXCLUDES(mu_);
 
   /// Producer: no further batches (normal end, error, or cancellation).
-  void FinishProducer() {
-    latch::LatchGuard lock(mu_);
-    finished_ = true;
-    cv_.notify_all();
-  }
+  void FinishProducer() EXCLUDES(mu_);
 
-  /// Consumer (QueryHandle): dequeue the next batch; false once the producer
-  /// finished and the queue drained.
-  bool Pop(TupleBatch* out) {
-    latch::UniqueLatch lock(mu_);
-    while (q_.empty() && !finished_) cv_.wait(lock);
-    if (q_.empty()) return false;
-    *out = std::move(q_.front());
-    q_.pop_front();
-    cv_.notify_all();
-    return true;
-  }
+  /// Consumer (QueryHandle): swaps the next batch into `*out`, handing out's
+  /// previous batch back to the producer; false once the producer finished
+  /// and the queue drained (out's storage then goes to the shelf).
+  bool Pop(TupleBatch* out) EXCLUDES(mu_);
 
   /// Consumer: stop consuming (cancel / handle teardown). Idempotent.
-  void CloseConsumer() {
-    latch::LatchGuard lock(mu_);
-    closed_ = true;
-    q_.clear();
-    cv_.notify_all();
-  }
+  void CloseConsumer() EXCLUDES(mu_);
 
  private:
+  const size_t cap_;
+  const std::shared_ptr<StreamBatchShelf> shelf_;
+  TupleBatch producer_;
   mutable latch::Latch mu_{latch::LatchRank::kResultStream,
                            "ResultStream::mu_"};
   std::condition_variable_any cv_;
-  std::deque<TupleBatch> q_ GUARDED_BY(mu_);
-  const size_t cap_;
+  /// `cap_` slots: [head_, head_ + count_) (mod cap_) are queued batches,
+  /// the others hold drained batches waiting for the producer.
+  std::vector<TupleBatch> ring_ GUARDED_BY(mu_);
+  size_t head_ GUARDED_BY(mu_) = 0;
+  size_t count_ GUARDED_BY(mu_) = 0;
   bool finished_ GUARDED_BY(mu_) = false;
   bool closed_ GUARDED_BY(mu_) = false;
 };
@@ -174,7 +195,7 @@ struct QuerySpec {
   bool allow_sharing = true;
 
   // --- wired by Session (engine/session.h); not part of the client surface.
-  /// Result batches are moved into this stream as they are produced (owned
+  /// Result batches are pushed into this stream as they are produced (owned
   /// by the QueryHandle; must outlive the query's execution — the handle's
   /// Wait() is the synchronization point).
   ResultStream* stream = nullptr;
@@ -374,8 +395,11 @@ class QueryEngine {
   /// `id` attributes the query's trace spans and morph instants; it never
   /// influences planning or accounting. `cancel` (never null from the
   /// executor) is polled between result batches.
+  /// `batch` is the executor's own batch, recycled from query to query
+  /// (streamed queries fill their stream's producer batch instead).
   QueryResult Execute(QueryId id, QuerySpec spec,
-                      const std::atomic<bool>* cancel) EXCLUDES(mu_);
+                      const std::atomic<bool>* cancel, TupleBatch* batch)
+      EXCLUDES(mu_);
   QueryResult ExecuteWrite(QueryId id, QuerySpec spec,
                            const std::atomic<bool>* cancel);
   /// Whether the query will resolve to a shared scan (Pending::share_eligible

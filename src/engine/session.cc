@@ -1,5 +1,7 @@
 #include "engine/session.h"
 
+#include <algorithm>
+
 namespace smoothscan {
 
 // ---------------------------------------------------------------- QueryHandle
@@ -73,7 +75,10 @@ QueryHandle QueryBuilder::Submit() {
 // ------------------------------------------------------------------- Session
 
 Session::Session(QueryEngine* engine, SessionOptions options)
-    : engine_(engine), options_(std::move(options)) {
+    : engine_(engine),
+      options_(std::move(options)),
+      shelf_(std::make_shared<StreamBatchShelf>(
+          std::max<size_t>(options_.stream_batches, 1) + 2)) {
   SMOOTHSCAN_CHECK(engine_ != nullptr);
   SMOOTHSCAN_CHECK(options_.max_outstanding >= 1);
   latch::LatchGuard lock(mu_);
@@ -120,7 +125,7 @@ QueryHandle Session::SubmitSpec(QuerySpec spec, bool stream) {
   }
   std::unique_ptr<ResultStream> rs;
   if (stream) {
-    rs = std::make_unique<ResultStream>(options_.stream_batches);
+    rs = std::make_unique<ResultStream>(options_.stream_batches, shelf_);
     spec.stream = rs.get();
   }
   spec.on_complete = [this](uint64_t) { OnComplete(); };

@@ -245,6 +245,10 @@ class Session {
 
   QueryEngine* const engine_;
   const SessionOptions options_;
+  /// Spare batches of this session's result streams: room for one stream's
+  /// ring, its producer batch and the consumer's batch, so a session that
+  /// streams one query at a time allocates no batch storage once warm.
+  const std::shared_ptr<StreamBatchShelf> shelf_;
 
   /// Window state. Rank above kQueryEngine: Submit may reach the engine
   /// latch from under it, and the completion callback takes it bare.

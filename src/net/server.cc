@@ -5,6 +5,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <string_view>
 #include <utility>
 
@@ -119,6 +120,8 @@ ServerStats Server::stats() const {
   s.frames_malformed = frames_malformed_.load(kRelaxed);
   s.backpressure_shrinks = backpressure_shrinks_.load(kRelaxed);
   s.window_stalls = closed_window_stalls_.load(kRelaxed);
+  s.drainers_live = drainers_live_.load(kRelaxed);
+  s.drainers_peak = drainers_peak_.load(kRelaxed);
   latch::LatchGuard lock(mu_);
   for (const auto& c : conns_) {
     if (!c->done.load(kRelaxed)) {
@@ -267,10 +270,39 @@ void Server::HandleQuery(Conn* conn, uint64_t tag, std::string_view text) {
   QueryHandle h =
       conn->session.Query().FromSpec(std::move(spec)).Stream().Submit();
   auto handle = std::make_shared<QueryHandle>(std::move(h));
-  latch::LatchGuard lock(conn->mu);
-  conn->active[tag] = handle;
-  conn->drainers.emplace_back(
-      [this, conn, tag, handle] { DrainQuery(conn, tag, handle); });
+  std::list<Drainer> finished;
+  {
+    latch::LatchGuard lock(conn->mu);
+    // Reap the drainers whose queries are done before starting another, so
+    // a long-lived connection holds threads for its queries in flight only.
+    for (auto it = conn->drainers.begin(); it != conn->drainers.end();) {
+      auto next = std::next(it);
+      if (it->done.load(std::memory_order_acquire)) {
+        finished.splice(finished.end(), conn->drainers, it);
+      }
+      it = next;
+    }
+    conn->active[tag] = handle;
+    Drainer& d = conn->drainers.emplace_back();
+    d.thread = std::thread([this, conn, tag, handle, &d] {
+      DrainQuery(conn, tag, handle);
+      d.done.store(true, std::memory_order_release);
+    });
+  }
+  const uint64_t live = drainers_live_.fetch_add(1, kRelaxed) + 1;
+  uint64_t peak = drainers_peak_.load(kRelaxed);
+  while (live > peak &&
+         !drainers_peak_.compare_exchange_weak(peak, live, kRelaxed)) {
+  }
+  JoinDrainers(&finished);
+}
+
+void Server::JoinDrainers(std::list<Drainer>* drainers) {
+  for (Drainer& d : *drainers) {
+    if (d.thread.joinable()) d.thread.join();
+  }
+  drainers_live_.fetch_sub(drainers->size(), kRelaxed);
+  drainers->clear();
 }
 
 void Server::DrainQuery(Conn* conn, uint64_t tag,
@@ -326,7 +358,7 @@ void Server::TeardownConn(Conn* conn) {
   // The reader spawned every drainer and has exited its loop, so `active`
   // and `drainers` only shrink from here on.
   std::vector<std::shared_ptr<QueryHandle>> live;
-  std::vector<std::thread> drainers;
+  std::list<Drainer> drainers;
   {
     latch::LatchGuard lock(conn->mu);
     live.reserve(conn->active.size());
@@ -337,9 +369,7 @@ void Server::TeardownConn(Conn* conn) {
   // queries never run; executing ones stop at the next batch boundary).
   for (auto& handle : live) handle->Cancel();
   live.clear();
-  for (std::thread& t : drainers) {
-    if (t.joinable()) t.join();
-  }
+  JoinDrainers(&drainers);
   // Both directions down: the peer's next read sees EOF (the close a
   // framing error promised), and late writes fail instead of buffering.
   conn->transport->Shutdown();

@@ -69,6 +69,11 @@ struct ServerStats {
   uint64_t frames_malformed = 0;  ///< Framing errors (connection closed).
   uint64_t backpressure_shrinks = 0;  ///< Times a window was shrunk.
   uint64_t window_stalls = 0;  ///< Session submits that blocked on a window.
+  /// Per-query drainer threads started and not yet joined. A connection's
+  /// reader joins its finished drainers before it starts the next one, so
+  /// this follows the queries in flight, not the queries served.
+  uint64_t drainers_live = 0;
+  uint64_t drainers_peak = 0;  ///< High-water mark of drainers_live.
 };
 
 class Server {
@@ -103,6 +108,13 @@ class Server {
   ServerStats stats() const;
 
  private:
+  /// One query's drainer thread; `done` is its last act, after which the
+  /// join is immediate.
+  struct Drainer {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   /// One connection: transport + session + active-query registry.
   struct Conn {
     explicit Conn(QueryEngine* engine, std::unique_ptr<Transport> t,
@@ -119,11 +131,11 @@ class Server {
     /// Serializes whole frames onto the transport (drainers interleave).
     latch::Latch write_mu{latch::LatchRank::kNetWrite,
                           "net::Conn::write_mu"};
-    /// Tag → live handle, plus the drainer threads to join at teardown.
+    /// Tag → live handle, plus the drainer threads not yet joined.
     latch::Latch mu{latch::LatchRank::kNetConn, "net::Conn::mu"};
     std::unordered_map<uint64_t, std::shared_ptr<QueryHandle>> active
         GUARDED_BY(mu);
-    std::vector<std::thread> drainers GUARDED_BY(mu);
+    std::list<Drainer> drainers GUARDED_BY(mu);
     std::thread reader;
     std::atomic<bool> done{false};  ///< Reader finished; conn reapable.
   };
@@ -133,6 +145,8 @@ class Server {
   void HandleQuery(Conn* conn, uint64_t tag, std::string_view text);
   void DrainQuery(Conn* conn, uint64_t tag,
                   std::shared_ptr<QueryHandle> handle);
+  /// Joins `drainers` (outside every latch) and settles the live count.
+  void JoinDrainers(std::list<Drainer>* drainers);
   void WriteFrame(Conn* conn, FrameType type, std::string payload);
   /// Applies the overload policy to a batch-lane submit (see file comment).
   void ApplyBackpressure(Conn* conn, QueryLane lane);
@@ -161,6 +175,8 @@ class Server {
   std::atomic<uint64_t> frames_malformed_{0};
   std::atomic<uint64_t> backpressure_shrinks_{0};
   std::atomic<uint64_t> closed_window_stalls_{0};
+  std::atomic<uint64_t> drainers_live_{0};
+  std::atomic<uint64_t> drainers_peak_{0};
 };
 
 }  // namespace net

@@ -160,7 +160,9 @@ TcpListener::~TcpListener() { Close(); }
 
 std::unique_ptr<Transport> TcpListener::Accept() {
   for (;;) {
-    const int cfd = ::accept(fd_, nullptr, nullptr);
+    const int fd = fd_.load();
+    if (fd < 0) return nullptr;
+    const int cfd = ::accept(fd, nullptr, nullptr);
     if (cfd >= 0) return std::make_unique<TcpTransport>(cfd);
     if (errno == EINTR) continue;
     return nullptr;
@@ -168,10 +170,10 @@ std::unique_ptr<Transport> TcpListener::Accept() {
 }
 
 void TcpListener::Close() {
-  if (fd_ >= 0) {
-    ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-    fd_ = -1;
+  const int fd = fd_.exchange(-1);
+  if (fd >= 0) {
+    ::shutdown(fd, SHUT_RDWR);
+    ::close(fd);
   }
 }
 

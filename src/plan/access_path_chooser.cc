@@ -158,39 +158,45 @@ PlanChoice AccessPathChooser::Choose(const TableStats& stats,
 std::unique_ptr<AccessPath> MakePath(PathKind kind, const BPlusTree* index,
                                      const ScanPredicate& predicate,
                                      bool need_order, uint64_t estimate) {
+  std::unique_ptr<AccessPath> path;
   switch (kind) {
-    case PathKind::kFullScan:
-      return std::make_unique<FullScan>(index->heap(), predicate);
     case PathKind::kIndexScan:
+      // Index order is the interesting order already.
       return std::make_unique<IndexScan>(index, predicate);
     case PathKind::kSortScan: {
       SortScanOptions options;
       options.preserve_order = need_order;
       return std::make_unique<SortScan>(index, predicate, options);
     }
-    case PathKind::kSwitchScan: {
-      SwitchScanOptions options;
-      options.estimated_cardinality = estimate;
-      return std::make_unique<SwitchScan>(index, predicate, options);
-    }
     case PathKind::kSmoothScan: {
       SmoothScanOptions options;
       options.preserve_order = need_order;
       return std::make_unique<SmoothScan>(index, predicate, options);
     }
+    case PathKind::kSwitchScan: {
+      SwitchScanOptions options;
+      options.estimated_cardinality = estimate;
+      path = std::make_unique<SwitchScan>(index, predicate, options);
+      break;
+    }
+    case PathKind::kFullScan:
     case PathKind::kSharedScan:
-      // A shared scan needs the engine's ScanSharingCoordinator (see
-      // sharing/shared_scan_path.h); without one, a plain full scan is the
-      // exact solo-equivalent plan.
-      return std::make_unique<FullScan>(index->heap(), predicate);
     case PathKind::kCompressedScan:
-      // The compressed path needs the engine's CompressedExtentMap (see
-      // compress/compressed_scan.h); without one — or once the extent was
-      // invalidated by a publish — the heap full scan produces the identical
-      // multiset from the identical snapshot.
-      return std::make_unique<FullScan>(index->heap(), predicate);
+      // A shared scan needs the engine's ScanSharingCoordinator (see
+      // sharing/shared_scan_path.h), the compressed path the engine's
+      // CompressedExtentMap (see compress/compressed_scan.h); without them —
+      // or once the extent was invalidated by a publish — the heap full scan
+      // produces the identical multiset from the identical snapshot.
+      path = std::make_unique<FullScan>(index->heap(), predicate);
+      break;
   }
-  return nullptr;
+  // Heap order and the switch seam destroy the interesting order: an
+  // ordered consumer gets the posterior sort the chooser priced in.
+  if (need_order) {
+    path = std::make_unique<PosteriorSort>(std::move(path), index->heap(),
+                                           index->key_column());
+  }
+  return path;
 }
 
 std::unique_ptr<ParallelScan> MakeParallelPath(

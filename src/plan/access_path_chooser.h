@@ -112,7 +112,10 @@ class AccessPathChooser {
 /// Materializes an access path of `kind` over `index` (its heap) with
 /// `predicate`. `estimate` parameterizes Switch Scan's threshold and Smooth
 /// Scan's optimizer-driven trigger; Smooth Scan defaults to the paper's
-/// preferred Eager + Elastic configuration.
+/// preferred Eager + Elastic configuration. With `need_order` every path
+/// emits in index-key order: Index Scan natively, Sort and Smooth Scan
+/// through their order-preserving modes, and the full and switch scans
+/// through a PosteriorSort.
 std::unique_ptr<AccessPath> MakePath(PathKind kind, const BPlusTree* index,
                                      const ScanPredicate& predicate,
                                      bool need_order, uint64_t estimate);

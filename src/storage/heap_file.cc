@@ -24,17 +24,26 @@ Result<Tid> HeapFile::Append(const Tuple& tuple) {
 }
 
 Tuple HeapFile::Read(Tid tid) const {
-  return Read(tid, EngineContext(engine_));
+  Tuple tuple;
+  ReadInto(tid, EngineContext(engine_), &tuple);
+  return tuple;
 }
 
-Tuple HeapFile::Read(Tid tid, const ExecContext& ctx) const {
-  const PageGuard page = ctx.pool->Fetch(file_id_, tid.page_id);
-  uint32_t size = 0;
-  const uint8_t* data = page->GetTuple(tid.slot, &size);
+PageGuard HeapFile::ReadBytes(Tid tid, const ExecContext& ctx,
+                              const uint8_t** data, uint32_t* size) const {
+  PageGuard page = ctx.pool->Fetch(file_id_, tid.page_id);
+  *data = page->GetTuple(tid.slot, size);
   // Reading a tombstoned Tid is a bug: index maintenance removes an entry in
   // the same publish that kills its slot.
-  SMOOTHSCAN_CHECK(data != nullptr);
-  return schema_.Deserialize(data, size);
+  SMOOTHSCAN_CHECK(*data != nullptr);
+  return page;
+}
+
+void HeapFile::ReadInto(Tid tid, const ExecContext& ctx, Tuple* out) const {
+  const uint8_t* data = nullptr;
+  uint32_t size = 0;
+  const PageGuard page = ReadBytes(tid, ctx, &data, &size);
+  schema_.DeserializeInto(data, size, out);
 }
 
 void HeapFile::ForEachDirect(

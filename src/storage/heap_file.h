@@ -33,8 +33,16 @@ class HeapFile {
   /// (I/O-accounted).
   Tuple Read(Tid tid) const;
 
-  /// Same, charging `ctx` instead (morsel-driven execution).
-  Tuple Read(Tid tid, const ExecContext& ctx) const;
+  /// Fetches the page holding `tid` through `ctx`'s buffer pool (I/O
+  /// charged to ctx's stream) and points `*data` / `*size` at the tuple's
+  /// encoded bytes, valid while the returned guard pins the page.
+  PageGuard ReadBytes(Tid tid, const ExecContext& ctx, const uint8_t** data,
+                      uint32_t* size) const;
+
+  /// Reads the tuple at `tid` through `ctx`'s buffer pool (I/O charged to
+  /// ctx's stream) and decodes it into `out`, reusing out's storage — the
+  /// access paths' per-entry look-up, decoding into a recycled batch slot.
+  void ReadInto(Tid tid, const ExecContext& ctx, Tuple* out) const;
 
   /// Build-time full iteration without I/O accounting (loaders, oracles and
   /// test baselines). `fn` receives (tid, tuple).

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <set>
 
 #include "access/result_cache.h"
@@ -12,6 +14,7 @@
 #include "access/smooth_scan.h"
 #include "exec/morphing_index_join.h"
 #include "exec/operators.h"
+#include "result_cache_util.h"
 #include "workload/micro_bench.h"
 
 namespace smoothscan {
@@ -177,7 +180,7 @@ TEST_F(SpillTest, NoSpillUnderBudget) {
   o.max_resident_tuples = 100;
   ResultCache cache({10, 20}, &engine_, o);
   for (int i = 0; i < 50; ++i) {
-    cache.Insert(i % 30, Tid{0, static_cast<SlotId>(i)}, {Value::Int64(i)});
+    CachePut(&cache, i % 30, Tid{0, static_cast<SlotId>(i)}, i);
   }
   EXPECT_EQ(cache.spill_stats().spills, 0u);
   EXPECT_EQ(cache.resident_size(), cache.size());
@@ -190,11 +193,11 @@ TEST_F(SpillTest, SpillsFurthestPartitionOverBudget) {
   // Fill the far partition (keys >= 200) first, then exceed the budget from
   // the near partition: the far one must spill.
   for (int i = 0; i < 8; ++i) {
-    cache.Insert(300 + i, Tid{1, static_cast<SlotId>(i)}, {Value::Int64(i)});
+    CachePut(&cache, 300 + i, Tid{1, static_cast<SlotId>(i)}, i);
   }
   const double io_before = engine_.disk().stats().io_time;
   for (int i = 0; i < 8; ++i) {
-    cache.Insert(i, Tid{0, static_cast<SlotId>(i)}, {Value::Int64(i)});
+    CachePut(&cache, i, Tid{0, static_cast<SlotId>(i)}, i);
   }
   EXPECT_GE(cache.spill_stats().spills, 1u);
   EXPECT_EQ(cache.spill_stats().spilled_tuples, 8u);
@@ -209,15 +212,15 @@ TEST_F(SpillTest, TakeRestoresSpilledPartition) {
   o.max_resident_tuples = 4;
   ResultCache cache({100}, &engine_, o);
   for (int i = 0; i < 5; ++i) {
-    cache.Insert(200 + i, Tid{1, static_cast<SlotId>(i)}, {Value::Int64(i)});
+    CachePut(&cache, 200 + i, Tid{1, static_cast<SlotId>(i)}, i);
   }
   for (int i = 0; i < 5; ++i) {
-    cache.Insert(i, Tid{0, static_cast<SlotId>(i)}, {Value::Int64(100 + i)});
+    CachePut(&cache, i, Tid{0, static_cast<SlotId>(i)}, 100 + i);
   }
   ASSERT_GE(cache.spill_stats().spills, 1u);
   // Reaching the spilled range reads the overflow file back.
   const uint64_t reads_before = engine_.disk().stats().pages_read;
-  std::optional<Tuple> t = cache.Take(203, Tid{1, 3});
+  std::optional<Tuple> t = CacheTake(&cache, 203, Tid{1, 3});
   ASSERT_TRUE(t.has_value());
   EXPECT_EQ((*t)[0].AsInt64(), 3);
   EXPECT_GE(cache.spill_stats().restores, 1u);
@@ -228,12 +231,52 @@ TEST_F(SpillTest, EvictBelowDropsSpilledPartitions) {
   ResultCacheOptions o;
   o.max_resident_tuples = 2;
   ResultCache cache({10, 20}, &engine_, o);
-  cache.Insert(25, Tid{0, 0}, {Value::Int64(1)});
-  cache.Insert(26, Tid{0, 1}, {Value::Int64(2)});
-  cache.Insert(5, Tid{0, 2}, {Value::Int64(3)});
-  cache.Insert(6, Tid{0, 3}, {Value::Int64(4)});
+  CachePut(&cache, 25, Tid{0, 0}, 1);
+  CachePut(&cache, 26, Tid{0, 1}, 2);
+  CachePut(&cache, 5, Tid{0, 2}, 3);
+  CachePut(&cache, 6, Tid{0, 3}, 4);
   EXPECT_EQ(cache.EvictBelow(30), 2u);  // Keys 5, 6 are dead.
   EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST_F(SpillTest, SpillAndRestoreAreLossless) {
+  // Multi-column, variable-width tuples through a budget that forces spills:
+  // taken back in key order (the scan cursor's order, evicting the ranges it
+  // passed), every tuple must come back byte-for-byte.
+  const Schema schema({{"k", ValueType::kInt64},
+                       {"s", ValueType::kString},
+                       {"d", ValueType::kDouble}});
+  ResultCacheOptions o;
+  o.max_resident_tuples = 6;
+  ResultCache cache({100, 200, 300}, &engine_, o);
+  struct Row {
+    int64_t key;
+    Tid tid;
+    Tuple tuple;
+  };
+  std::vector<Row> rows;
+  for (int i = 0; i < 40; ++i) {
+    const int64_t key = (i % 4) * 100 + i;
+    Row row{key,
+            Tid{static_cast<PageId>(i / 8), static_cast<SlotId>(i % 8)},
+            {Value::Int64(key), Value::String(std::string(i, 'a' + i % 26)),
+             Value::Double(i * 1.25)}};
+    CachePut(&cache, row.key, row.tid, row.tuple, schema);
+    rows.push_back(std::move(row));
+  }
+  ASSERT_GE(cache.spill_stats().spills, 1u);
+  EXPECT_EQ(cache.size(), 40u);
+  std::sort(rows.begin(), rows.end(),
+            [](const Row& a, const Row& b) { return a.key < b.key; });
+  for (const Row& row : rows) {
+    const std::optional<Tuple> t = CacheTake(&cache, row.key, row.tid, schema);
+    ASSERT_TRUE(t.has_value()) << "key " << row.key;
+    EXPECT_EQ(*t, row.tuple) << "key " << row.key;
+    EXPECT_EQ(cache.EvictBelow(row.key), 0u);
+  }
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_GE(cache.spill_stats().restores, 1u);
+  EXPECT_GT(cache.spill_stats().restored_tuples, 0u);
 }
 
 TEST_F(SpillTest, SmoothScanCorrectUnderTinyCacheBudget) {

@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <new>
 #include <set>
@@ -27,11 +28,16 @@
 
 #include "access/full_scan.h"
 #include "access/parallel_scan.h"
+#include "access/index_scan.h"
 #include "access/result_cache.h"
+#include "access/smooth_scan.h"
+#include "access/sort_scan.h"
 #include "engine/query_engine.h"
+#include "engine/session.h"
 #include "exec/task_scheduler.h"
 #include "mem/batch_pool.h"
 #include "mem/memory_broker.h"
+#include "result_cache_util.h"
 #include "sharing/scan_sharing.h"
 #include "sharing/shared_scan_path.h"
 #include "workload/micro_bench.h"
@@ -256,6 +262,112 @@ TEST_F(AllocationRegression, AbandonedPendingBatchReturnsToPool) {
   }
 }
 
+// A warm path's row flow — page bytes decoded into recycled batch slots,
+// Result Cache and sort buffers holding encoded bytes — performs a number of
+// heap allocations per Open cycle that does not grow with the rows it
+// returns. Each path runs warm-up cycles and then one counted cycle, at 1%
+// and at 20% selectivity (20x the rows); the 20% count may exceed the 1%
+// count only by the logarithmic growth of the per-cycle buffers (Result
+// Cache table and arena), never by anything proportional to the rows.
+constexpr uint64_t kRowIndependentSlack = 16;
+
+struct WarmCycle {
+  uint64_t allocs = 0;
+  uint64_t rows = 0;
+};
+
+WarmCycle CountWarmCycle(AccessPath* path) {
+  TupleBatch batch;
+  WarmCycle c;
+  auto cycle = [&] {
+    c.rows = 0;
+    SMOOTHSCAN_CHECK(path->Open().ok());
+    while (path->NextBatch(&batch)) c.rows += batch.size();
+    path->Close();
+  };
+  cycle();
+  cycle();
+  const uint64_t before = AllocCount();
+  cycle();
+  c.allocs = AllocCount() - before;
+  return c;
+}
+
+TEST_F(AllocationRegression, WarmPathAllocationsDoNotGrowWithRows) {
+  struct Case {
+    const char* name;
+    std::function<std::unique_ptr<AccessPath>(const ScanPredicate&)> make;
+  };
+  const BPlusTree* index = &db_->index();
+  const Case cases[] = {
+      {"ordered SmoothScan",
+       [&](const ScanPredicate& p) -> std::unique_ptr<AccessPath> {
+         SmoothScanOptions o;
+         o.preserve_order = true;
+         return std::make_unique<SmoothScan>(index, p, o);
+       }},
+      {"ordered SortScan",
+       [&](const ScanPredicate& p) -> std::unique_ptr<AccessPath> {
+         SortScanOptions o;
+         o.preserve_order = true;
+         return std::make_unique<SortScan>(index, p, o);
+       }},
+      {"unordered SortScan",
+       [&](const ScanPredicate& p) -> std::unique_ptr<AccessPath> {
+         return std::make_unique<SortScan>(index, p);
+       }},
+      {"IndexScan",
+       [&](const ScanPredicate& p) -> std::unique_ptr<AccessPath> {
+         return std::make_unique<IndexScan>(index, p);
+       }},
+  };
+  for (const Case& c : cases) {
+    auto low_path = c.make(db_->PredicateForSelectivity(0.01));
+    auto high_path = c.make(db_->PredicateForSelectivity(0.2));
+    const WarmCycle low = CountWarmCycle(low_path.get());
+    const WarmCycle high = CountWarmCycle(high_path.get());
+    ASSERT_GE(high.rows, 10 * low.rows) << c.name;
+    EXPECT_LE(high.allocs, low.allocs + kRowIndependentSlack)
+        << c.name << ": " << low.allocs << " allocations for " << low.rows
+        << " rows, " << high.allocs << " for " << high.rows;
+  }
+}
+
+// The same for one streamed Session query end to end: the executor decodes
+// into its stream's recycled batches, the client's Pop swaps batches back,
+// and the session's shelf carries the storage from query to query.
+TEST_F(AllocationRegression, StreamedSessionQueryAllocationsDoNotGrowWithRows) {
+  QueryEngineOptions qo;
+  qo.max_admitted = 1;
+  QueryEngine qe(engine_.get(), qo);
+  Session session(&qe);
+  TupleBatch batch;
+  auto run = [&](double sel) {
+    WarmCycle c;
+    const uint64_t before = AllocCount();
+    QueryHandle h = session.Query()
+                        .Table(&db_->index())
+                        .Predicate(db_->PredicateForSelectivity(sel))
+                        .Policy(PathKind::kFullScan)
+                        .Stream()
+                        .Submit();
+    while (h.NextBatch(&batch)) c.rows += batch.size();
+    EXPECT_TRUE(h.Wait().status.ok());
+    c.allocs = AllocCount() - before;
+    return c;
+  };
+  // Warm-up over the whole table: some 30 full batches per query rotate
+  // through every batch the session's streams circulate, warming all of
+  // their slots.
+  for (int i = 0; i < 3; ++i) run(1.0);
+  const WarmCycle low = run(0.01);
+  const WarmCycle high = run(0.2);
+  ASSERT_GE(high.rows, 10 * low.rows);
+  EXPECT_LE(high.allocs, low.allocs + kRowIndependentSlack)
+      << low.allocs << " allocations for " << low.rows << " rows, "
+      << high.allocs << " for " << high.rows;
+}
+
 // ---------------------------------------------------------------------------
 // Cost differentials: recycling and governance never change simulated cost.
 // ---------------------------------------------------------------------------
@@ -396,12 +508,14 @@ TEST_F(MemGovernanceTest, ResultCachePressureSpillIsDeterministicAndLossless) {
     for (uint16_t i = 0; i < 24; ++i) {
       const int64_t key = (i % 4) * 100 + 50;  // 50, 150, 250, 350, ...
       const Tid tid{static_cast<PageId>(i / 4), static_cast<SlotId>(i % 4)};
-      cache.Insert(key, tid, Tuple{Value::Int64(key), Value::Int64(i)});
+      CachePut(&cache, key, tid, Tuple{Value::Int64(key), Value::Int64(i)},
+               MakeIntSchema(2));
       inserted.emplace_back(key, tid);
     }
     // Every tuple must come back intact, spilled partitions restored.
     for (const auto& [key, tid] : inserted) {
-      const std::optional<Tuple> t = cache.Take(key, tid);
+      const std::optional<Tuple> t =
+          CacheTake(&cache, key, tid, MakeIntSchema(2));
       if (!t.has_value()) {
         ADD_FAILURE() << "lost tuple key=" << key;
         continue;

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -310,6 +311,58 @@ TEST(NetServerTest, SessionWindowBackpressureIsVisible) {
   const ServerStats stats = world.server->stats();
   EXPECT_EQ(stats.queries_ok, 6u);
   EXPECT_GT(stats.window_stalls, 0u);
+}
+
+TEST(NetServerTest, OrderedFullAndSwitchPlansReturnKeyOrder) {
+  // ORDER BY KEY over the order-destroying paths: the plan's posterior sort
+  // must deliver the oracle's rows in key order, over the wire.
+  ServedDb world(/*max_admitted=*/2);
+  WireClient client(world.server->ConnectPipe());
+  const ScanPredicate pred = world.db->PredicateForSelectivity(0.2);
+  std::multiset<int64_t> oracle;
+  world.db->heap().ForEachDirect([&](Tid, const Tuple& t) {
+    if (pred.Matches(t)) oracle.insert(t[pred.column].AsInt64());
+  });
+  for (const char* policy : {"full", "switch"}) {
+    char text[192];
+    // ESTIMATE=10: the switch scan abandons its index phase early.
+    std::snprintf(text, sizeof text,
+                  "SELECT * FROM t WHERE C%d >= %lld AND C%d < %lld "
+                  "ORDER BY KEY WITH (POLICY=%s, ESTIMATE=10)",
+                  pred.column, static_cast<long long>(pred.lo), pred.column,
+                  static_cast<long long>(pred.hi), policy);
+    const WireResult r = client.Wait(client.Submit(text));
+    ASSERT_TRUE(r.status.ok()) << policy << ": " << r.status.ToString();
+    std::vector<int64_t> keys;
+    for (const std::vector<int64_t>& row : r.rows) {
+      keys.push_back(row[pred.column]);
+    }
+    EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end())) << policy;
+    EXPECT_EQ(std::multiset<int64_t>(keys.begin(), keys.end()), oracle)
+        << policy;
+    EXPECT_EQ(r.metrics.tuples, oracle.size()) << policy;
+  }
+}
+
+TEST(NetServerTest, DrainersAreReapedAsTheirQueriesFinish) {
+  // Hundreds of queries one after another on one connection: the reader
+  // joins each finished drainer before it starts the next, so the live
+  // drainer threads follow the queries in flight (at most the session
+  // window, plus one finishing), not the queries served.
+  ServedDb world(/*max_admitted=*/2);
+  WireClient client(world.server->ConnectPipe());
+  const uint64_t bound = ServerOptions().session.max_outstanding + 1;
+  const ScanPredicate pred = world.db->PredicateForSelectivity(0.001);
+  constexpr int kQueries = 300;
+  for (int i = 0; i < kQueries; ++i) {
+    ASSERT_TRUE(
+        client.Wait(client.Submit(SelectText(pred, "index", 0))).status.ok());
+    ASSERT_LE(world.server->stats().drainers_live, bound) << "query " << i;
+  }
+  const ServerStats stats = world.server->stats();
+  EXPECT_EQ(stats.queries_ok, static_cast<uint64_t>(kQueries));
+  EXPECT_LE(stats.drainers_peak, bound);
+  EXPECT_GE(stats.drainers_peak, 1u);
 }
 
 TEST(NetServerTest, TcpTransportServesTheSameProtocol) {

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "plan/access_path_chooser.h"
 #include "workload/micro_bench.h"
 
@@ -164,6 +168,68 @@ TEST_F(PlanTest, MakePathConstructsEveryKind) {
     uint64_t n = 0;
     while (path->Next(&t)) ++n;
     EXPECT_GT(n, 0u) << PathKindToString(kind);
+  }
+}
+
+// An ordered consumer gets index-key order from every kind MakePath builds —
+// full and switch scans (and the kinds that fall back to a full scan) via
+// their posterior sort — with the oracle's rows, and the full scan pays
+// exactly that sort on top of its unordered cost.
+TEST_F(PlanTest, OrderedPlansOfEveryKindEmitKeyOrder) {
+  const int key_col = MicroBenchDb::kIndexedColumn;
+  for (const double sel : {0.01, 0.2}) {
+    const ScanPredicate pred = db_->PredicateForSelectivity(sel);
+    std::vector<std::pair<int64_t, int64_t>> oracle;  // (key, c1).
+    db_->heap().ForEachDirect([&](Tid, const Tuple& t) {
+      if (pred.Matches(t)) {
+        oracle.emplace_back(t[key_col].AsInt64(), t[0].AsInt64());
+      }
+    });
+    std::sort(oracle.begin(), oracle.end());
+    for (const PathKind kind :
+         {PathKind::kFullScan, PathKind::kIndexScan, PathKind::kSortScan,
+          PathKind::kSwitchScan, PathKind::kSmoothScan, PathKind::kSharedScan,
+          PathKind::kCompressedScan}) {
+      // Estimate 10: the switch scan switches to its full-scan phase.
+      std::unique_ptr<AccessPath> path =
+          MakePath(kind, &db_->index(), pred, /*need_order=*/true, 10);
+      engine_->ColdRestart();
+      ASSERT_TRUE(path->Open().ok());
+      std::vector<std::pair<int64_t, int64_t>> got;
+      TupleBatch batch;
+      while (path->NextBatch(&batch)) {
+        for (size_t i = 0; i < batch.size(); ++i) {
+          got.emplace_back(batch.row(i)[key_col].AsInt64(),
+                           batch.row(i)[0].AsInt64());
+        }
+      }
+      path->Close();
+      const char* label = PathKindToString(kind);
+      EXPECT_TRUE(std::is_sorted(got.begin(), got.end(),
+                                 [](const auto& a, const auto& b) {
+                                   return a.first < b.first;
+                                 }))
+          << label << " at " << sel;
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, oracle) << label << " at " << sel;
+    }
+
+    auto cpu_of = [&](bool need_order) {
+      std::unique_ptr<AccessPath> path =
+          MakePath(PathKind::kFullScan, &db_->index(), pred, need_order, 0);
+      engine_->ColdRestart();
+      engine_->cpu().Reset();
+      SMOOTHSCAN_CHECK(path->Open().ok());
+      TupleBatch batch;
+      while (path->NextBatch(&batch)) {
+      }
+      path->Close();
+      return engine_->cpu().time();
+    };
+    CpuMeter sort;
+    sort.ChargeSort(oracle.size());
+    EXPECT_NEAR(cpu_of(true) - cpu_of(false), sort.time(), 1e-9)
+        << "ordered full scan must pay exactly its posterior sort";
   }
 }
 
