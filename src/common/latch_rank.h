@@ -117,10 +117,13 @@ enum class LatchRank : int {
 
   // --- client / network front-end (above the engine: both call into
   // Submit/Cancel, which take kQueryEngine) -------------------------------
-  kNetConn = 720,      ///< net server connection state (tag → handle map).
-                       ///< Held only for map mutation; Cancel/Wait on the
-                       ///< fetched handle run after release, so nothing
-                       ///< engine-side nests under it in practice.
+  kNetConn = 720,      ///< net server connection state (tag → handle map,
+                       ///< drainer queue). Held only for map/queue
+                       ///< mutation; idle drainers park on it in a cv wait
+                       ///< holding nothing else, and drain (NextBatch →
+                       ///< 150, frame writes → 160) after release. Cancel/
+                       ///< Wait on a fetched handle also run after release,
+                       ///< so nothing engine-side nests under it.
   kNetSession = 740,   ///< Session::mu_ (outstanding-query window). The
                        ///< engine's completion callback acquires it from an
                        ///< executor holding nothing; a submitting client may

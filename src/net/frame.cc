@@ -1,15 +1,18 @@
 #include "net/frame.h"
 
-#include <cerrno>
-#include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <bit>
+#include <initializer_list>
 
 namespace smoothscan {
 namespace net {
 namespace {
+
+constexpr size_t kHeaderBytes = 5;  ///< u32 length + u8 type.
+
+/// DONE flag bits.
+constexpr uint8_t kCancelledFlag = 1;
+constexpr uint8_t kWriteFlag = 2;
+constexpr uint8_t kParallelFlag = 4;
 
 bool KnownFrameType(uint8_t t) {
   switch (static_cast<FrameType>(t)) {
@@ -26,304 +29,244 @@ bool KnownFrameType(uint8_t t) {
   return false;
 }
 
-void AppendU32Le(uint32_t v, std::string* out) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
-  out->push_back(static_cast<char>((v >> 16) & 0xff));
-  out->push_back(static_cast<char>((v >> 24) & 0xff));
+/// Little-endian store of the low `bytes` bytes of `v`.
+void StoreLe(uint64_t v, size_t bytes, char* p) {
+  for (size_t i = 0; i < bytes; ++i) p[i] = static_cast<char>(v >> (8 * i));
 }
 
-uint32_t ReadU32Le(const char* p) {
-  const auto b = [p](int i) {
-    return static_cast<uint32_t>(static_cast<unsigned char>(p[i]));
-  };
-  return b(0) | (b(1) << 8) | (b(2) << 16) | (b(3) << 24);
+void PutLe(uint64_t v, size_t bytes, std::string* out) {
+  char b[8];
+  StoreLe(v, bytes, b);
+  out->append(b, bytes);
 }
 
-void AppendFmt(std::string* out, const char* fmt, ...) {
-  char buf[64];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  if (n > 0) out->append(buf, static_cast<size_t>(n));
-}
-
-Status ParseU64(std::string_view tok, uint64_t* out) {
-  if (tok.empty()) return Status::InvalidArgument("empty integer field");
-  std::string buf(tok);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(buf.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') {
-    return Status::InvalidArgument("bad integer '" + buf + "'");
+uint64_t LoadLe(const char* p, size_t bytes) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < bytes; ++i) {
+    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
   }
-  *out = static_cast<uint64_t>(v);
-  return Status::OK();
+  return v;
 }
 
-Status ParseI64(std::string_view tok, int64_t* out) {
-  if (tok.empty()) return Status::InvalidArgument("empty integer field");
-  std::string buf(tok);
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(buf.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') {
-    return Status::InvalidArgument("bad integer '" + buf + "'");
-  }
-  *out = static_cast<int64_t>(v);
-  return Status::OK();
+/// Reads `bytes` little-endian bytes off the front of `p`; false (consuming
+/// nothing) when fewer remain.
+bool Take(std::string_view* p, size_t bytes, uint64_t* v) {
+  if (p->size() < bytes) return false;
+  *v = LoadLe(p->data(), bytes);
+  p->remove_prefix(bytes);
+  return true;
 }
 
-Status ParseF64(std::string_view tok, double* out) {
-  std::string buf(tok);
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (end == nullptr || *end != '\0' || end == buf.c_str()) {
-    return Status::InvalidArgument("bad double '" + buf + "'");
-  }
-  *out = v;
-  return Status::OK();
-}
-
-/// "v1,v2,..." → out (empty input → no values).
-Status ParseI64List(std::string_view s, std::vector<int64_t>* out) {
-  while (!s.empty()) {
-    const size_t comma = s.find(',');
-    std::string_view tok = s.substr(0, comma);
-    int64_t v = 0;
-    Status st = ParseI64(tok, &v);
-    if (!st.ok()) return st;
-    out->push_back(v);
-    if (comma == std::string_view::npos) break;
-    s.remove_prefix(comma + 1);
-  }
-  return Status::OK();
+Status Truncated(const char* what) {
+  return Status::InvalidArgument(std::string("truncated ") + what +
+                                 " payload");
 }
 
 }  // namespace
 
 void EncodeFrame(const Frame& frame, std::string* wire) {
-  AppendU32Le(static_cast<uint32_t>(frame.payload.size()), wire);
+  PutLe(frame.payload.size(), 4, wire);
   wire->push_back(static_cast<char>(frame.type));
   wire->append(frame.payload);
 }
 
+std::string* FrameBuilder::Start(FrameType type) {
+  buf_.assign(kHeaderBytes, '\0');  // Keeps the capacity of earlier frames.
+  buf_[4] = static_cast<char>(type);
+  return &buf_;
+}
+
+std::string_view FrameBuilder::Finish() {
+  StoreLe(buf_.size() - kHeaderBytes, 4, buf_.data());
+  return buf_;
+}
+
 Status FrameDecoder::Feed(const char* data, size_t n) {
   if (poisoned_) return Status::InvalidArgument("frame stream poisoned");
+  // The frames popped so far are released: drop their bytes.
+  buf_.erase(0, pos_);
+  pos_ = 0;
   buf_.append(data, n);
   // Validate every complete header immediately, even before its payload
   // arrives: a hostile length must be rejected without buffering toward it.
-  size_t p = pos_;
-  while (buf_.size() - p >= 5) {
-    const uint32_t len = ReadU32Le(buf_.data() + p);
-    const uint8_t type = static_cast<uint8_t>(buf_[p + 4]);
+  size_t p = 0;
+  while (buf_.size() - p >= kHeaderBytes) {
+    const uint64_t len = LoadLe(buf_.data() + p, 4);
     if (len > kMaxFramePayload) {
       poisoned_ = true;
       return Status::InvalidArgument("oversized frame payload");
     }
-    if (!KnownFrameType(type)) {
+    if (!KnownFrameType(static_cast<uint8_t>(buf_[p + 4]))) {
       poisoned_ = true;
       return Status::InvalidArgument("unknown frame type");
     }
-    if (buf_.size() - p - 5 < len) break;
-    p += 5 + len;
+    if (buf_.size() - p - kHeaderBytes < len) break;
+    p += kHeaderBytes + len;
   }
   return Status::OK();
 }
 
 bool FrameDecoder::Pop(Frame* out) {
-  if (poisoned_ || buf_.size() - pos_ < 5) return false;
-  const uint32_t len = ReadU32Le(buf_.data() + pos_);
-  if (buf_.size() - pos_ - 5 < len) return false;
+  if (poisoned_ || buf_.size() - pos_ < kHeaderBytes) return false;
+  const uint64_t len = LoadLe(buf_.data() + pos_, 4);
+  if (buf_.size() - pos_ - kHeaderBytes < len) return false;
   out->type = static_cast<FrameType>(buf_[pos_ + 4]);
-  out->payload.assign(buf_, pos_ + 5, len);
-  pos_ += 5 + len;
-  if (pos_ == buf_.size()) {
-    buf_.clear();
-    pos_ = 0;
-  }
+  out->payload = std::string_view(buf_).substr(pos_ + kHeaderBytes, len);
+  pos_ += kHeaderBytes + len;
   return true;
+}
+
+void AppendTagged(uint64_t tag, std::string_view text, std::string* out) {
+  PutLe(tag, 8, out);
+  out->append(text);
 }
 
 std::string EncodeTagged(uint64_t tag, std::string_view text) {
   std::string out;
-  AppendFmt(&out, "%" PRIu64, tag);
-  if (!text.empty()) {
-    out.push_back(' ');
-    out.append(text);
-  }
+  AppendTagged(tag, text, &out);
   return out;
 }
 
 Status ParseTagged(std::string_view payload, uint64_t* tag,
                    std::string_view* rest) {
-  const size_t sp = payload.find(' ');
-  std::string_view head =
-      sp == std::string_view::npos ? payload : payload.substr(0, sp);
-  Status s = ParseU64(head, tag);
-  if (!s.ok()) return s;
-  *rest = sp == std::string_view::npos ? std::string_view()
-                                       : payload.substr(sp + 1);
+  if (!Take(&payload, 8, tag)) return Truncated("tagged");
+  *rest = payload;
   return Status::OK();
 }
 
-std::string EncodeBatchPayload(uint64_t tag, const TupleBatch& batch) {
-  std::string out;
-  AppendFmt(&out, "%" PRIu64 " ", tag);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (i != 0) out.push_back('|');
-    const Tuple& row = batch.row(i);
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c != 0) out.push_back(',');
-      AppendFmt(&out, "%" PRId64, row[c].AsInt64());
+void AppendBatchPayload(uint64_t tag, const TupleBatch& batch,
+                        std::string* out) {
+  const size_t rows = batch.size();
+  const size_t cols = rows == 0 ? 0 : batch.row(0).size();
+  PutLe(tag, 8, out);
+  PutLe(rows, 4, out);
+  PutLe(cols, 4, out);
+  size_t at = out->size();
+  out->resize(at + rows * cols * 8);
+  char* p = out->data();
+  for (size_t i = 0; i < rows; ++i) {
+    for (const Value& v : batch.row(i)) {
+      StoreLe(static_cast<uint64_t>(v.AsInt64()), 8, p + at);
+      at += 8;
     }
   }
-  return out;
 }
 
 Status ParseBatchPayload(std::string_view payload, uint64_t* tag,
                          std::vector<std::vector<int64_t>>* rows) {
-  std::string_view body;
-  Status s = ParseTagged(payload, tag, &body);
-  if (!s.ok()) return s;
-  while (!body.empty()) {
-    const size_t bar = body.find('|');
-    std::string_view row = body.substr(0, bar);
-    rows->emplace_back();
-    if (!(s = ParseI64List(row, &rows->back())).ok()) return s;
-    if (bar == std::string_view::npos) break;
-    body.remove_prefix(bar + 1);
+  uint64_t n_rows = 0, n_cols = 0;
+  if (!Take(&payload, 8, tag) || !Take(&payload, 4, &n_rows) ||
+      !Take(&payload, 4, &n_cols)) {
+    return Truncated("batch");
+  }
+  // Both counts are u32, so the cell count cannot overflow 64 bits; the
+  // byte count is checked by division so it never has to be formed.
+  const uint64_t cells = n_rows * n_cols;
+  if (cells > payload.size() / 8) return Truncated("batch");
+  if (cells * 8 != payload.size() || (n_rows != 0 && n_cols == 0)) {
+    return Status::InvalidArgument("batch body does not match its shape");
+  }
+  const char* p = payload.data();
+  rows->reserve(rows->size() + n_rows);
+  for (uint64_t i = 0; i < n_rows; ++i) {
+    std::vector<int64_t>& row = rows->emplace_back(n_cols);
+    for (int64_t& v : row) {
+      v = static_cast<int64_t>(LoadU64LE(reinterpret_cast<const uint8_t*>(p)));
+      p += 8;
+    }
   }
   return Status::OK();
 }
 
-std::string EncodeDonePayload(uint64_t tag, const QueryResult& result) {
+void AppendDonePayload(uint64_t tag, const QueryResult& result,
+                       std::string* out) {
   const QueryMetrics& m = result.metrics;
+  PutLe(tag, 8, out);
+  out->push_back(static_cast<char>(kDoneVersion));
+  out->push_back(static_cast<char>(result.status.code()));
+  out->push_back(static_cast<char>(m.kind));
+  out->push_back(static_cast<char>(m.lane));
+  out->push_back(static_cast<char>((m.cancelled ? kCancelledFlag : 0) |
+                                   (m.write ? kWriteFlag : 0) |
+                                   (m.parallel ? kParallelFlag : 0)));
+  for (const uint64_t v : {m.tuples, m.io_requests, m.random_ios, m.seq_ios,
+                           m.pages_read, m.mem_peak_bytes,
+                           m.mem_quota_breaches}) {
+    PutLe(v, 8, out);
+  }
+  for (const double d : {m.sim_time, m.io_time, m.cpu_time, m.queue_wait_ms,
+                         m.exec_ms, m.latency_ms}) {
+    PutLe(std::bit_cast<uint64_t>(d), 8, out);
+  }
+  PutLe(result.keys.size(), 4, out);
+  for (const int64_t k : result.keys) PutLe(static_cast<uint64_t>(k), 8, out);
+  const std::string& message = result.status.message();
+  PutLe(message.size(), 4, out);
+  out->append(message);
+}
+
+std::string EncodeDonePayload(uint64_t tag, const QueryResult& result) {
   std::string out;
-  AppendFmt(&out, "%" PRIu64, tag);
-  AppendFmt(&out, " status=%d", static_cast<int>(result.status.code()));
-  AppendFmt(&out, " kind=%d", static_cast<int>(m.kind));
-  AppendFmt(&out, " lane=%d", static_cast<int>(m.lane));
-  AppendFmt(&out, " cancelled=%d", m.cancelled ? 1 : 0);
-  AppendFmt(&out, " write=%d", m.write ? 1 : 0);
-  AppendFmt(&out, " parallel=%d", m.parallel ? 1 : 0);
-  AppendFmt(&out, " tuples=%" PRIu64, m.tuples);
-  AppendFmt(&out, " io_requests=%" PRIu64, m.io_requests);
-  AppendFmt(&out, " random_ios=%" PRIu64, m.random_ios);
-  AppendFmt(&out, " seq_ios=%" PRIu64, m.seq_ios);
-  AppendFmt(&out, " pages_read=%" PRIu64, m.pages_read);
-  AppendFmt(&out, " mem_peak_bytes=%" PRIu64, m.mem_peak_bytes);
-  AppendFmt(&out, " mem_quota_breaches=%" PRIu64, m.mem_quota_breaches);
-  // %.17g: shortest-round-trip is overkill, 17 significant digits is the
-  // classic sufficient precision for binary64 — these fields are the
-  // bit-identical simulated-cost contract crossing the wire.
-  AppendFmt(&out, " sim_time=%.17g", m.sim_time);
-  AppendFmt(&out, " io_time=%.17g", m.io_time);
-  AppendFmt(&out, " cpu_time=%.17g", m.cpu_time);
-  AppendFmt(&out, " queue_wait_ms=%.17g", m.queue_wait_ms);
-  AppendFmt(&out, " exec_ms=%.17g", m.exec_ms);
-  AppendFmt(&out, " latency_ms=%.17g", m.latency_ms);
-  if (!result.keys.empty()) {
-    out.append(" keys=");
-    for (size_t i = 0; i < result.keys.size(); ++i) {
-      if (i != 0) out.push_back(',');
-      AppendFmt(&out, "%" PRId64, result.keys[i]);
-    }
-  }
-  if (!result.status.message().empty()) {
-    // msg= is free text through end-of-payload; must stay the last field.
-    out.append(" msg=");
-    out.append(result.status.message());
-  }
+  AppendDonePayload(tag, result, &out);
   return out;
 }
 
 Status ParseDonePayload(std::string_view payload, uint64_t* tag,
                         QueryResult* result) {
-  std::string_view body;
-  Status s = ParseTagged(payload, tag, &body);
-  if (!s.ok()) return s;
-  QueryMetrics& m = result->metrics;
-  int status_code = 0;
-  std::string message;
-  while (!body.empty()) {
-    const size_t eq = body.find('=');
-    if (eq == std::string_view::npos) {
-      return Status::InvalidArgument("done payload field without '='");
-    }
-    std::string_view key = body.substr(0, eq);
-    if (key == "msg") {  // Free text through end-of-payload.
-      message = std::string(body.substr(eq + 1));
-      break;
-    }
-    const size_t sp = body.find(' ', eq + 1);
-    std::string_view val = body.substr(
-        eq + 1, sp == std::string_view::npos ? std::string_view::npos
-                                             : sp - eq - 1);
-    uint64_t u = 0;
-    double d = 0.0;
-    if (key == "status") {
-      if (!(s = ParseU64(val, &u)).ok()) return s;
-      status_code = static_cast<int>(u);
-    } else if (key == "kind") {
-      if (!(s = ParseU64(val, &u)).ok()) return s;
-      if (u >= static_cast<uint64_t>(kNumPathKinds)) {
-        return Status::InvalidArgument("bad path kind");
-      }
-      m.kind = static_cast<PathKind>(u);
-    } else if (key == "lane") {
-      if (!(s = ParseU64(val, &u)).ok()) return s;
-      m.lane = u != 0 ? QueryLane::kSla : QueryLane::kBatch;
-    } else if (key == "cancelled") {
-      if (!(s = ParseU64(val, &u)).ok()) return s;
-      m.cancelled = u != 0;
-    } else if (key == "write") {
-      if (!(s = ParseU64(val, &u)).ok()) return s;
-      m.write = u != 0;
-    } else if (key == "parallel") {
-      if (!(s = ParseU64(val, &u)).ok()) return s;
-      m.parallel = u != 0;
-    } else if (key == "tuples") {
-      if (!(s = ParseU64(val, &m.tuples)).ok()) return s;
-    } else if (key == "io_requests") {
-      if (!(s = ParseU64(val, &m.io_requests)).ok()) return s;
-    } else if (key == "random_ios") {
-      if (!(s = ParseU64(val, &m.random_ios)).ok()) return s;
-    } else if (key == "seq_ios") {
-      if (!(s = ParseU64(val, &m.seq_ios)).ok()) return s;
-    } else if (key == "pages_read") {
-      if (!(s = ParseU64(val, &m.pages_read)).ok()) return s;
-    } else if (key == "mem_peak_bytes") {
-      if (!(s = ParseU64(val, &m.mem_peak_bytes)).ok()) return s;
-    } else if (key == "mem_quota_breaches") {
-      if (!(s = ParseU64(val, &m.mem_quota_breaches)).ok()) return s;
-    } else if (key == "sim_time") {
-      if (!(s = ParseF64(val, &m.sim_time)).ok()) return s;
-    } else if (key == "io_time") {
-      if (!(s = ParseF64(val, &m.io_time)).ok()) return s;
-    } else if (key == "cpu_time") {
-      if (!(s = ParseF64(val, &m.cpu_time)).ok()) return s;
-    } else if (key == "queue_wait_ms") {
-      if (!(s = ParseF64(val, &m.queue_wait_ms)).ok()) return s;
-    } else if (key == "exec_ms") {
-      if (!(s = ParseF64(val, &m.exec_ms)).ok()) return s;
-    } else if (key == "latency_ms") {
-      if (!(s = ParseF64(val, &m.latency_ms)).ok()) return s;
-    } else if (key == "keys") {
-      if (!(s = ParseI64List(val, &result->keys)).ok()) return s;
-    } else {
-      // Unknown fields are skipped: forward compatibility for added metrics.
-      (void)d;
-    }
-    if (sp == std::string_view::npos) break;
-    body.remove_prefix(sp + 1);
+  uint64_t version = 0, status = 0, kind = 0, lane = 0, flags = 0;
+  if (!Take(&payload, 8, tag) || !Take(&payload, 1, &version) ||
+      !Take(&payload, 1, &status) || !Take(&payload, 1, &kind) ||
+      !Take(&payload, 1, &lane) || !Take(&payload, 1, &flags)) {
+    return Truncated("done");
   }
-  result->status = status_code == 0
-                       ? Status::OK()
-                       : Status(static_cast<StatusCode>(status_code),
-                                std::move(message));
+  if (version != kDoneVersion) {
+    return Status::InvalidArgument("unknown done payload version");
+  }
+  // kCancelled is the last StatusCode.
+  if (status > static_cast<uint64_t>(StatusCode::kCancelled) ||
+      kind >= static_cast<uint64_t>(kNumPathKinds) ||
+      lane > static_cast<uint64_t>(QueryLane::kSla) ||
+      (flags & ~uint64_t{kCancelledFlag | kWriteFlag | kParallelFlag}) != 0) {
+    return Status::InvalidArgument("done payload field out of range");
+  }
+  QueryResult out;
+  QueryMetrics& m = out.metrics;
+  m.kind = static_cast<PathKind>(kind);
+  m.lane = static_cast<QueryLane>(lane);
+  m.cancelled = (flags & kCancelledFlag) != 0;
+  m.write = (flags & kWriteFlag) != 0;
+  m.parallel = (flags & kParallelFlag) != 0;
+  for (uint64_t* v : {&m.tuples, &m.io_requests, &m.random_ios, &m.seq_ios,
+                      &m.pages_read, &m.mem_peak_bytes,
+                      &m.mem_quota_breaches}) {
+    if (!Take(&payload, 8, v)) return Truncated("done");
+  }
+  for (double* d : {&m.sim_time, &m.io_time, &m.cpu_time, &m.queue_wait_ms,
+                    &m.exec_ms, &m.latency_ms}) {
+    uint64_t bits = 0;
+    if (!Take(&payload, 8, &bits)) return Truncated("done");
+    *d = std::bit_cast<double>(bits);
+  }
+  uint64_t n_keys = 0;
+  if (!Take(&payload, 4, &n_keys)) return Truncated("done");
+  if (n_keys > payload.size() / 8) {
+    return Status::InvalidArgument("done key count runs past the payload");
+  }
+  out.keys.resize(n_keys);
+  for (int64_t& k : out.keys) {
+    uint64_t v = 0;
+    Take(&payload, 8, &v);
+    k = static_cast<int64_t>(v);
+  }
+  uint64_t message_bytes = 0;
+  if (!Take(&payload, 4, &message_bytes)) return Truncated("done");
+  if (message_bytes != payload.size()) {
+    return Status::InvalidArgument("done message length is not the rest");
+  }
+  if (status != 0) {
+    out.status = Status(static_cast<StatusCode>(status), std::string(payload));
+  }
+  *result = std::move(out);
   return Status::OK();
 }
 

@@ -2,20 +2,28 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <iterator>
 #include <string_view>
 #include <utility>
 
+#include "index/bplus_tree.h"
 #include "obs/metrics.h"
+#include "storage/heap_file.h"
 
 namespace smoothscan {
 namespace net {
 namespace {
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
+
+/// BATCH frames carry INT64 cells (a DATE is an INT64 day count).
+bool AllInteger(const Schema& schema) {
+  return std::all_of(
+      schema.columns().begin(), schema.columns().end(), [](const Column& c) {
+        return c.type == ValueType::kInt64 || c.type == ValueType::kDate;
+      });
+}
 
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
@@ -120,8 +128,8 @@ ServerStats Server::stats() const {
   s.frames_malformed = frames_malformed_.load(kRelaxed);
   s.backpressure_shrinks = backpressure_shrinks_.load(kRelaxed);
   s.window_stalls = closed_window_stalls_.load(kRelaxed);
+  s.drainers_started = drainers_started_.load(kRelaxed);
   s.drainers_live = drainers_live_.load(kRelaxed);
-  s.drainers_peak = drainers_peak_.load(kRelaxed);
   latch::LatchGuard lock(mu_);
   for (const auto& c : conns_) {
     if (!c->done.load(kRelaxed)) {
@@ -133,7 +141,7 @@ ServerStats Server::stats() const {
 }
 
 void Server::ReaderLoop(Conn* conn) {
-  char buf[4096];
+  char buf[1 << 16];
   FrameDecoder decoder;
   for (;;) {
     const int n = conn->transport->Read(buf, sizeof buf);
@@ -143,7 +151,7 @@ void Server::ReaderLoop(Conn* conn) {
       // Unrecoverable framing (oversized length, unknown type): report and
       // close this connection; the server itself keeps serving.
       frames_malformed_.fetch_add(1, kRelaxed);
-      WriteFrame(conn, FrameType::kError, EncodeTagged(0, s.message()));
+      SendError(conn, 0, s.message());
       break;
     }
     Frame frame;
@@ -185,11 +193,7 @@ void Server::HandleFrame(Conn* conn, const Frame& frame) {
       uint64_t tag = 0;
       std::string_view text;
       Status s = ParseTagged(frame.payload, &tag, &text);
-      if (!s.ok()) {
-        queries_error_.fetch_add(1, kRelaxed);
-        WriteFrame(conn, FrameType::kError, EncodeTagged(0, s.message()));
-        return;
-      }
+      if (!s.ok()) return RejectQuery(conn, 0, s.message());
       HandleQuery(conn, tag, text);
       return;
     }
@@ -211,7 +215,8 @@ void Server::HandleFrame(Conn* conn, const Frame& frame) {
       uint64_t tag = 0;
       std::string_view rest;
       if (!ParseTagged(frame.payload, &tag, &rest).ok()) return;
-      std::string text;
+      std::string* text = conn->reader_out.Start(FrameType::kMetricsText);
+      AppendTagged(tag, {}, text);
       obs::MetricsRegistry* registry = engine_->options().metrics;
       if (registry != nullptr) {
         const obs::MetricsSnapshot snap = registry->Snapshot();
@@ -219,17 +224,16 @@ void Server::HandleFrame(Conn* conn, const Frame& frame) {
         for (const obs::MetricValue& v : snap.values) {
           const int n = std::snprintf(line, sizeof line, "%s %.17g\n",
                                       v.name.c_str(), v.value);
-          if (n > 0) text.append(line, static_cast<size_t>(n));
+          if (n > 0) text->append(line, static_cast<size_t>(n));
         }
       }
-      WriteFrame(conn, FrameType::kMetricsText, EncodeTagged(tag, text));
+      Send(conn, &conn->reader_out);
       return;
     }
     default:
       // A server-to-client frame type arriving here is client confusion;
       // answer an error and carry on.
-      WriteFrame(conn, FrameType::kError,
-                 EncodeTagged(0, "unexpected frame type"));
+      SendError(conn, 0, "unexpected frame type");
       return;
   }
 }
@@ -242,25 +246,18 @@ void Server::HandleQuery(Conn* conn, uint64_t tag, std::string_view text) {
     latch::LatchGuard lock(conn->mu);
     duplicate = conn->active.count(tag) != 0;
   }
-  if (duplicate) {
-    queries_error_.fetch_add(1, kRelaxed);
-    WriteFrame(conn, FrameType::kError,
-               EncodeTagged(tag, "tag already in flight"));
-    return;
-  }
+  if (duplicate) return RejectQuery(conn, tag, "tag already in flight");
   Result<ParsedStatement> parsed = ParseQueryText(text);
-  if (!parsed.ok()) {
-    queries_error_.fetch_add(1, kRelaxed);
-    WriteFrame(conn, FrameType::kError,
-               EncodeTagged(tag, parsed.status().message()));
-    return;
-  }
+  if (!parsed.ok()) return RejectQuery(conn, tag, parsed.status().message());
   Result<QuerySpec> bound = BindStatement(*catalog_, *parsed);
-  if (!bound.ok()) {
-    queries_error_.fetch_add(1, kRelaxed);
-    WriteFrame(conn, FrameType::kError,
-               EncodeTagged(tag, bound.status().message()));
-    return;
+  if (!bound.ok()) return RejectQuery(conn, tag, bound.status().message());
+  if (bound->index != nullptr && !AllInteger(bound->index->heap()->schema())) {
+    // The wire speaks INT64 only: a BATCH frame cannot carry other cells,
+    // and query text cannot write them.
+    return RejectQuery(conn, tag,
+                       "table '" + parsed->table +
+                           "' has non-integer columns; the wire carries "
+                           "INT64 rows only");
   }
   QuerySpec spec = std::move(bound).value();
   if (!parsed->has_lane) spec.lane = conn->lane;
@@ -270,71 +267,79 @@ void Server::HandleQuery(Conn* conn, uint64_t tag, std::string_view text) {
   QueryHandle h =
       conn->session.Query().FromSpec(std::move(spec)).Stream().Submit();
   auto handle = std::make_shared<QueryHandle>(std::move(h));
-  std::list<Drainer> finished;
+  bool start_drainer = false;
   {
     latch::LatchGuard lock(conn->mu);
-    // Reap the drainers whose queries are done before starting another, so
-    // a long-lived connection holds threads for its queries in flight only.
-    for (auto it = conn->drainers.begin(); it != conn->drainers.end();) {
-      auto next = std::next(it);
-      if (it->done.load(std::memory_order_acquire)) {
-        finished.splice(finished.end(), conn->drainers, it);
-      }
-      it = next;
-    }
     conn->active[tag] = handle;
-    Drainer& d = conn->drainers.emplace_back();
-    d.thread = std::thread([this, conn, tag, handle, &d] {
-      DrainQuery(conn, tag, handle);
-      d.done.store(true, std::memory_order_release);
-    });
+    conn->queued.emplace_back(tag, std::move(handle));
+    // Every parked drainer takes one queued query; start another only when
+    // the queue outnumbers them.
+    start_drainer = conn->queued.size() > conn->parked;
   }
-  const uint64_t live = drainers_live_.fetch_add(1, kRelaxed) + 1;
-  uint64_t peak = drainers_peak_.load(kRelaxed);
-  while (live > peak &&
-         !drainers_peak_.compare_exchange_weak(peak, live, kRelaxed)) {
+  if (!start_drainer) {
+    conn->work.notify_one();
+    return;
   }
-  JoinDrainers(&finished);
+  conn->drainers.emplace_back([this, conn] { DrainerLoop(conn); });
+  drainers_started_.fetch_add(1, kRelaxed);
+  drainers_live_.fetch_add(1, kRelaxed);
 }
 
-void Server::JoinDrainers(std::list<Drainer>* drainers) {
-  for (Drainer& d : *drainers) {
-    if (d.thread.joinable()) d.thread.join();
-  }
-  drainers_live_.fetch_sub(drainers->size(), kRelaxed);
-  drainers->clear();
-}
-
-void Server::DrainQuery(Conn* conn, uint64_t tag,
-                        std::shared_ptr<QueryHandle> handle) {
+void Server::DrainerLoop(Conn* conn) {
+  FrameBuilder out;
   TupleBatch batch;
-  while (handle->NextBatch(&batch)) {
-    if (batch.size() != 0) {
-      WriteFrame(conn, FrameType::kBatch, EncodeBatchPayload(tag, batch));
+  for (;;) {
+    QueuedQuery query;
+    {
+      latch::UniqueLatch lock(conn->mu);
+      while (conn->queued.empty() && !conn->closing) {
+        ++conn->parked;
+        conn->work.wait(lock);
+        --conn->parked;
+      }
+      // Closing drainers still drain what was queued: those queries are
+      // cancelled and finish at once.
+      if (conn->queued.empty()) return;
+      query = std::move(conn->queued.front());
+      conn->queued.pop_front();
     }
+    const auto& [tag, handle] = query;
+    while (handle->NextBatch(&batch)) {
+      if (batch.size() != 0) {
+        AppendBatchPayload(tag, batch, out.Start(FrameType::kBatch));
+        Send(conn, &out);
+      }
+    }
+    const QueryResult& result = handle->Wait();
+    if (result.metrics.cancelled) {
+      queries_cancelled_.fetch_add(1, kRelaxed);
+    } else if (result.status.ok()) {
+      queries_ok_.fetch_add(1, kRelaxed);
+    } else {
+      queries_error_.fetch_add(1, kRelaxed);
+    }
+    AppendDonePayload(tag, result, out.Start(FrameType::kDone));
+    Send(conn, &out);
+    latch::LatchGuard lock(conn->mu);
+    conn->active.erase(tag);
   }
-  const QueryResult& result = handle->Wait();
-  if (result.metrics.cancelled) {
-    queries_cancelled_.fetch_add(1, kRelaxed);
-  } else if (result.status.ok()) {
-    queries_ok_.fetch_add(1, kRelaxed);
-  } else {
-    queries_error_.fetch_add(1, kRelaxed);
-  }
-  WriteFrame(conn, FrameType::kDone, EncodeDonePayload(tag, result));
-  latch::LatchGuard lock(conn->mu);
-  conn->active.erase(tag);
 }
 
-void Server::WriteFrame(Conn* conn, FrameType type, std::string payload) {
-  Frame frame;
-  frame.type = type;
-  frame.payload = std::move(payload);
-  std::string wire;
-  EncodeFrame(frame, &wire);
+void Server::Send(Conn* conn, FrameBuilder* out) {
+  const std::string_view wire = out->Finish();
   latch::LatchGuard lock(conn->write_mu);
   // A down transport drops the frame; the reader notices EOF separately.
   conn->transport->WriteAll(wire.data(), wire.size());
+}
+
+void Server::SendError(Conn* conn, uint64_t tag, std::string_view message) {
+  AppendTagged(tag, message, conn->reader_out.Start(FrameType::kError));
+  Send(conn, &conn->reader_out);
+}
+
+void Server::RejectQuery(Conn* conn, uint64_t tag, std::string_view message) {
+  queries_error_.fetch_add(1, kRelaxed);
+  SendError(conn, tag, message);
 }
 
 void Server::ApplyBackpressure(Conn* conn, QueryLane lane) {
@@ -355,21 +360,23 @@ void Server::ApplyBackpressure(Conn* conn, QueryLane lane) {
 }
 
 void Server::TeardownConn(Conn* conn) {
-  // The reader spawned every drainer and has exited its loop, so `active`
-  // and `drainers` only shrink from here on.
+  // The reader queued every query and has exited its loop, so `active` and
+  // `queued` only shrink from here on.
   std::vector<std::shared_ptr<QueryHandle>> live;
-  std::list<Drainer> drainers;
   {
     latch::LatchGuard lock(conn->mu);
+    conn->closing = true;
     live.reserve(conn->active.size());
     for (auto& [tag, handle] : conn->active) live.push_back(handle);
-    drainers.swap(conn->drainers);
   }
+  conn->work.notify_all();
   // A dropped connection cancels everything it had in flight (in-queue
   // queries never run; executing ones stop at the next batch boundary).
   for (auto& handle : live) handle->Cancel();
   live.clear();
-  JoinDrainers(&drainers);
+  for (std::thread& t : conn->drainers) t.join();
+  drainers_live_.fetch_sub(conn->drainers.size(), kRelaxed);
+  conn->drainers.clear();
   // Both directions down: the peer's next read sees EOF (the close a
   // framing error promised), and late writes fail instead of buffering.
   conn->transport->Shutdown();

@@ -8,10 +8,12 @@
 // Connection shape: one reader thread per connection decodes frames and
 // handles control (HELLO, CANCEL, METRICS) inline; each QUERY is submitted
 // through the connection's Session (blocking on its outstanding-query
-// window — the client-visible backpressure) and drained to the client by a
-// per-query drainer thread (BATCH frames as the executor produces batches,
-// one DONE frame with the full result). Frame writes from concurrent
-// drainers are serialized by a per-connection write latch.
+// window — the client-visible backpressure) and queued for the connection's
+// drainer threads, started on demand up to its peak queries in flight. A
+// drainer streams a query (BATCH frames as the executor produces batches,
+// one DONE frame with the full result), then parks on the connection latch
+// for the next; teardown joins them. A per-connection write latch
+// serializes whole frames, each encoded in its writer's reused buffer.
 //
 // Backpressure: before admitting a batch-lane query the server consults the
 // engine's queue depth and the memory broker's pressure flag; overloaded, it
@@ -29,11 +31,14 @@
 #define SMOOTHSCAN_NET_SERVER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <list>
 #include <memory>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/latch_rank.h"
@@ -69,11 +74,10 @@ struct ServerStats {
   uint64_t frames_malformed = 0;  ///< Framing errors (connection closed).
   uint64_t backpressure_shrinks = 0;  ///< Times a window was shrunk.
   uint64_t window_stalls = 0;  ///< Session submits that blocked on a window.
-  /// Per-query drainer threads started and not yet joined. A connection's
-  /// reader joins its finished drainers before it starts the next one, so
-  /// this follows the queries in flight, not the queries served.
-  uint64_t drainers_live = 0;
-  uint64_t drainers_peak = 0;  ///< High-water mark of drainers_live.
+  /// Drainer threads ever started: reused across queries, they follow the
+  /// connections' peak queries in flight, not the queries served.
+  uint64_t drainers_started = 0;
+  uint64_t drainers_live = 0;  ///< Drainer threads started, not yet joined.
 };
 
 class Server {
@@ -108,12 +112,8 @@ class Server {
   ServerStats stats() const;
 
  private:
-  /// One query's drainer thread; `done` is its last act, after which the
-  /// join is immediate.
-  struct Drainer {
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
+  /// A submitted query waiting for a drainer.
+  using QueuedQuery = std::pair<uint64_t, std::shared_ptr<QueryHandle>>;
 
   /// One connection: transport + session + active-query registry.
   struct Conn {
@@ -131,11 +131,19 @@ class Server {
     /// Serializes whole frames onto the transport (drainers interleave).
     latch::Latch write_mu{latch::LatchRank::kNetWrite,
                           "net::Conn::write_mu"};
-    /// Tag → live handle, plus the drainer threads not yet joined.
+    /// Tag → live handle, the queries waiting for a drainer and the parked
+    /// drainers. Drainers wait on `work` under it between queries and never
+    /// hold it while they drain.
     latch::Latch mu{latch::LatchRank::kNetConn, "net::Conn::mu"};
+    std::condition_variable_any work;
     std::unordered_map<uint64_t, std::shared_ptr<QueryHandle>> active
         GUARDED_BY(mu);
-    std::list<Drainer> drainers GUARDED_BY(mu);
+    std::deque<QueuedQuery> queued GUARDED_BY(mu);
+    uint32_t parked GUARDED_BY(mu) = 0;  ///< Drainers waiting on `work`.
+    bool closing GUARDED_BY(mu) = false;  ///< Drainers exit once idle.
+    /// Reader thread only: its frame buffer and the drainers it started.
+    FrameBuilder reader_out;
+    std::vector<std::thread> drainers;
     std::thread reader;
     std::atomic<bool> done{false};  ///< Reader finished; conn reapable.
   };
@@ -143,11 +151,15 @@ class Server {
   void ReaderLoop(Conn* conn);
   void HandleFrame(Conn* conn, const Frame& frame);
   void HandleQuery(Conn* conn, uint64_t tag, std::string_view text);
-  void DrainQuery(Conn* conn, uint64_t tag,
-                  std::shared_ptr<QueryHandle> handle);
-  /// Joins `drainers` (outside every latch) and settles the live count.
-  void JoinDrainers(std::list<Drainer>* drainers);
-  void WriteFrame(Conn* conn, FrameType type, std::string payload);
+  /// A drainer thread: streams queued queries to the client, parking in
+  /// between, until the connection closes.
+  void DrainerLoop(Conn* conn);
+  /// Sends the frame `out` holds (FrameBuilder::Start + payload).
+  void Send(Conn* conn, FrameBuilder* out);
+  /// Sends a tagged ERROR frame from the reader thread.
+  void SendError(Conn* conn, uint64_t tag, std::string_view message);
+  /// Counts a query rejected before submission and answers its ERROR.
+  void RejectQuery(Conn* conn, uint64_t tag, std::string_view message);
   /// Applies the overload policy to a batch-lane submit (see file comment).
   void ApplyBackpressure(Conn* conn, QueryLane lane);
   /// Cancels every active query, joins the drainers, accumulates the
@@ -175,8 +187,8 @@ class Server {
   std::atomic<uint64_t> frames_malformed_{0};
   std::atomic<uint64_t> backpressure_shrinks_{0};
   std::atomic<uint64_t> closed_window_stalls_{0};
+  std::atomic<uint64_t> drainers_started_{0};
   std::atomic<uint64_t> drainers_live_{0};
-  std::atomic<uint64_t> drainers_peak_{0};
 };
 
 }  // namespace net

@@ -1,39 +1,33 @@
 #include "net/wire_client.h"
 
-#include <cinttypes>
-#include <cstdio>
+#include <string>
 #include <utility>
 
 namespace smoothscan {
 namespace net {
-namespace {
 
-void SendFrame(Transport* t, FrameType type, std::string payload) {
-  Frame frame;
-  frame.type = type;
-  frame.payload = std::move(payload);
-  std::string wire;
-  EncodeFrame(frame, &wire);
-  t->WriteAll(wire.data(), wire.size());
+void WireClient::Send() {
+  const std::string_view wire = out_.Finish();
+  transport_->WriteAll(wire.data(), wire.size());
 }
 
-}  // namespace
-
 void WireClient::Hello(const std::string& lane, uint32_t window) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "LANE=%s WINDOW=%u", lane.c_str(), window);
-  SendFrame(transport_.get(), FrameType::kHello, buf);
+  out_.Start(FrameType::kHello)
+      ->append("LANE=" + lane + " WINDOW=" + std::to_string(window));
+  Send();
 }
 
 uint64_t WireClient::Submit(const std::string& text) {
   const uint64_t tag = next_tag_++;
   pending_[tag];  // Open the accumulator before any frame can arrive.
-  SendFrame(transport_.get(), FrameType::kQuery, EncodeTagged(tag, text));
+  AppendTagged(tag, text, out_.Start(FrameType::kQuery));
+  Send();
   return tag;
 }
 
 void WireClient::Cancel(uint64_t tag) {
-  SendFrame(transport_.get(), FrameType::kCancel, EncodeTagged(tag, {}));
+  AppendTagged(tag, {}, out_.Start(FrameType::kCancel));
+  Send();
 }
 
 WireResult WireClient::Wait(uint64_t tag) {
@@ -50,7 +44,8 @@ WireResult WireClient::Wait(uint64_t tag) {
 std::string WireClient::MetricsText() {
   metrics_ready_ = false;
   metrics_text_.clear();
-  SendFrame(transport_.get(), FrameType::kMetrics, EncodeTagged(0, {}));
+  AppendTagged(0, {}, out_.Start(FrameType::kMetrics));
+  Send();
   while (!metrics_ready_ && !down_) {
     if (!PumpOnce()) down_ = true;
   }
@@ -62,7 +57,7 @@ void WireClient::Close() {
 }
 
 bool WireClient::PumpOnce() {
-  char buf[4096];
+  char buf[1 << 16];
   const int n = transport_->Read(buf, sizeof buf);
   if (n <= 0) return false;
   if (!decoder_.Feed(buf, static_cast<size_t>(n)).ok()) return false;
@@ -72,58 +67,53 @@ bool WireClient::PumpOnce() {
 }
 
 void WireClient::Dispatch(const Frame& frame) {
-  switch (frame.type) {
-    case FrameType::kBatch: {
-      uint64_t tag = 0;
-      std::vector<std::vector<int64_t>> rows;
-      if (!ParseBatchPayload(frame.payload, &tag, &rows).ok()) return;
-      auto it = pending_.find(tag);
-      if (it == pending_.end()) return;
-      for (auto& row : rows) it->second.rows.push_back(std::move(row));
-      return;
-    }
-    case FrameType::kDone: {
-      uint64_t tag = 0;
-      QueryResult result;
-      if (!ParseDonePayload(frame.payload, &tag, &result).ok()) return;
-      auto it = pending_.find(tag);
-      if (it == pending_.end()) return;
-      it->second.complete = true;
-      it->second.status = std::move(result.status);
-      it->second.metrics = result.metrics;
-      it->second.keys = std::move(result.keys);
-      return;
-    }
-    case FrameType::kError: {
-      uint64_t tag = 0;
-      std::string_view message;
-      if (!ParseTagged(frame.payload, &tag, &message).ok()) return;
-      if (tag == 0) {
-        // Connection-level error: every in-flight query is dead.
-        for (auto& [t, r] : pending_) {
-          if (!r.complete) {
-            r.complete = true;
-            r.status = Status::InvalidArgument(std::string(message));
-          }
-        }
-        return;
+  uint64_t tag = 0;
+  std::string_view body;
+  if (!ParseTagged(frame.payload, &tag, &body).ok()) return;
+  if (frame.type == FrameType::kMetricsText) {
+    metrics_text_ = std::string(body);
+    metrics_ready_ = true;
+    return;
+  }
+  if (frame.type == FrameType::kError && tag == 0) {
+    // Connection-level error: every in-flight query is dead.
+    for (auto& [t, r] : pending_) {
+      if (!r.complete) {
+        r.complete = true;
+        r.status = Status::InvalidArgument(std::string(body));
       }
-      auto it = pending_.find(tag);
-      if (it == pending_.end()) return;
-      it->second.complete = true;
-      it->second.status = Status::InvalidArgument(std::string(message));
+    }
+    return;
+  }
+  auto it = pending_.find(tag);
+  if (it == pending_.end() || it->second.complete) return;
+  WireResult& r = it->second;
+  Status s;
+  switch (frame.type) {
+    case FrameType::kBatch:
+      s = ParseBatchPayload(frame.payload, &tag, &r.rows);
+      break;
+    case FrameType::kDone: {
+      QueryResult result;
+      s = ParseDonePayload(frame.payload, &tag, &result);
+      if (!s.ok()) break;
+      r.complete = true;
+      r.status = std::move(result.status);
+      r.metrics = result.metrics;
+      r.keys = std::move(result.keys);
       return;
     }
-    case FrameType::kMetricsText: {
-      uint64_t tag = 0;
-      std::string_view text;
-      if (!ParseTagged(frame.payload, &tag, &text).ok()) return;
-      metrics_text_ = std::string(text);
-      metrics_ready_ = true;
-      return;
-    }
+    case FrameType::kError:
+      s = Status::InvalidArgument(std::string(body));
+      break;
     default:
       return;  // Client-to-server type echoed back: ignore.
+  }
+  // A corrupt BATCH or DONE (say, from a server speaking another DONE
+  // version) fails its query instead of leaving Wait() blocked.
+  if (!s.ok()) {
+    r.complete = true;
+    r.status = std::move(s);
   }
 }
 

@@ -4,9 +4,10 @@
 // one client per simulated tenant thread); multiple queries may be in
 // flight on the connection, demultiplexed by tag.
 //
-// The DONE frame carries the query's full QueryResult with %.17g doubles,
-// so WireResult::metrics round-trips the engine's simulated-cost accounting
-// bit-identically — the property the wire-vs-direct differential test pins.
+// The DONE frame carries the query's full QueryResult with raw binary64
+// doubles, so WireResult::metrics round-trips the engine's simulated-cost
+// accounting bit-identically — the property the wire-vs-direct differential
+// test pins.
 
 #ifndef SMOOTHSCAN_NET_WIRE_CLIENT_H_
 #define SMOOTHSCAN_NET_WIRE_CLIENT_H_
@@ -71,9 +72,12 @@ class WireClient {
   /// on EOF/error.
   bool PumpOnce();
   void Dispatch(const Frame& frame);
+  /// Sends the frame `out_` holds.
+  void Send();
 
   std::unique_ptr<Transport> transport_;
   FrameDecoder decoder_;
+  FrameBuilder out_;
   uint64_t next_tag_ = 1;
   std::unordered_map<uint64_t, WireResult> pending_;
   std::string metrics_text_;
